@@ -4,126 +4,123 @@
 
 namespace manic::infer {
 
+RollingAutocorr::RollingAutocorr(AutocorrConfig config)
+    : config_(config),
+      counts_(static_cast<std::size_t>(config.intervals_per_day), 0) {
+  config_.window_days = std::max(1, config_.window_days);
+  const std::size_t bins = static_cast<std::size_t>(config_.window_days) *
+                           static_cast<std::size_t>(config_.intervals_per_day);
+  far_.assign(bins, std::numeric_limits<float>::quiet_NaN());
+  near_ = far_;
+  flags_.assign(bins, 0);
+}
+
 namespace {
 
-float RowMin(std::span<const float> row) noexcept {
-  float m = std::numeric_limits<float>::infinity();
-  for (const float v : row) {
-    if (!DayGrid::Missing(v)) m = std::min(m, v);
+// Minimum far and near RTT over some bins, and how many far bins are present.
+struct BinSummary {
+  float far_min = std::numeric_limits<float>::infinity();
+  float near_min = std::numeric_limits<float>::infinity();
+  std::size_t far_defined = 0;
+};
+
+BinSummary Summarize(std::span<const float> far,
+                     std::span<const float> near) noexcept {
+  BinSummary sum;
+  for (std::size_t b = 0; b < far.size(); ++b) {
+    if (!DayGrid::Missing(far[b])) {
+      ++sum.far_defined;
+      sum.far_min = std::min(sum.far_min, far[b]);
+    }
+    if (!DayGrid::Missing(near[b])) sum.near_min = std::min(sum.near_min, near[b]);
   }
-  return m;
+  return sum;
 }
 
 }  // namespace
 
-RollingAutocorr::RollingAutocorr(AutocorrConfig config)
-    : config_(config),
-      counts_(static_cast<std::size_t>(config.intervals_per_day), 0) {}
-
-void RollingAutocorr::ComputeDayFlags(std::span<const float> far,
-                                      std::span<const float> near,
-                                      std::vector<std::uint8_t>& flags) const {
+// Per-day window upkeep for every pair of the study and every CloseDay of
+// the serving plane; fenced by the linter's hot-path contract.
+// manic-lint: hot-path(begin)
+void RollingAutocorr::ComputeDayFlags(std::size_t row) {
   const double far_thr = far_min_ + config_.elevation_ms;
   const double near_thr = near_min_ + config_.elevation_ms;
-  flags.assign(static_cast<std::size_t>(config_.intervals_per_day), 0);
   for (int s = 0; s < config_.intervals_per_day; ++s) {
-    const float fv = far[static_cast<std::size_t>(s)];
-    if (DayGrid::Missing(fv) || fv <= far_thr) continue;
-    const float nv = near[static_cast<std::size_t>(s)];
-    if (!DayGrid::Missing(nv) && nv > near_thr) continue;
-    flags[static_cast<std::size_t>(s)] = 1;
-  }
-}
-
-void RollingAutocorr::RecomputeFlags() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  for (std::size_t d = 0; d < far_.size(); ++d) {
-    ComputeDayFlags(far_[d], near_[d], flags_[d]);
-    for (int s = 0; s < config_.intervals_per_day; ++s) {
-      counts_[static_cast<std::size_t>(s)] += flags_[d][static_cast<std::size_t>(s)];
-    }
+    const std::size_t b = row + static_cast<std::size_t>(s);
+    // A missing (NaN) bin compares false: a missing far bin is never
+    // elevated, and a missing near bin never vetoes the far side.
+    flags_[b] = far_[b] > far_thr && !(near_[b] > near_thr);
+    counts_[static_cast<std::size_t>(s)] += flags_[b];
   }
 }
 
 void RollingAutocorr::AddDay(std::span<const float> far,
                              std::span<const float> near) {
+  const auto intervals = static_cast<std::size_t>(config_.intervals_per_day);
+  const auto summarize_row = [&](std::size_t row) {
+    return Summarize(std::span(far_).subspan(row, intervals),
+                     std::span(near_).subspan(row, intervals));
+  };
   bool min_dirty = false;
-
-  if (static_cast<int>(far_.size()) >= config_.window_days) {
-    // Evict the oldest day.
-    for (int s = 0; s < config_.intervals_per_day; ++s) {
-      counts_[static_cast<std::size_t>(s)] -=
-          flags_.front()[static_cast<std::size_t>(s)];
-    }
-    const bool held_far_min =
-        static_cast<double>(day_far_min_.front()) <= far_min_;
-    const bool held_near_min =
-        static_cast<double>(day_near_min_.front()) <= near_min_;
-    far_.pop_front();
-    near_.pop_front();
-    flags_.pop_front();
-    day_far_min_.pop_front();
-    day_near_min_.pop_front();
-    if (held_far_min || held_near_min) {
-      far_min_ = std::numeric_limits<double>::infinity();
-      near_min_ = std::numeric_limits<double>::infinity();
-      for (std::size_t d = 0; d < far_.size(); ++d) {
-        far_min_ = std::min(far_min_, static_cast<double>(day_far_min_[d]));
-        near_min_ = std::min(near_min_, static_cast<double>(day_near_min_[d]));
-      }
-      min_dirty = true;
-    }
+  if (days_ == config_.window_days) {
+    // Evict the oldest day; the new day takes over its slot.
+    const std::size_t row = RowStart(0);
+    for (std::size_t s = 0; s < intervals; ++s) counts_[s] -= flags_[row + s];
+    const BinSummary old = summarize_row(row);
+    defined_ -= old.far_defined;
+    min_dirty = old.far_min <= far_min_ || old.near_min <= near_min_;
+    head_ = (head_ + 1) % config_.window_days;
+    --days_;
   }
 
-  far_.emplace_back(far.begin(), far.end());
-  near_.emplace_back(near.begin(), near.end());
-  day_far_min_.push_back(RowMin(far));
-  day_near_min_.push_back(RowMin(near));
-  if (static_cast<double>(day_far_min_.back()) < far_min_) {
-    far_min_ = day_far_min_.back();
-    min_dirty = true;
-  }
-  if (static_cast<double>(day_near_min_.back()) < near_min_) {
-    near_min_ = day_near_min_.back();
-    min_dirty = true;
-  }
-
-  flags_.emplace_back();
+  const std::size_t row = RowStart(days_);
+  ++days_;
+  std::copy_n(far.begin(), intervals, &far_[row]);
+  std::copy_n(near.begin(), intervals, &near_[row]);
+  const BinSummary day = summarize_row(row);
+  defined_ += day.far_defined;
   if (min_dirty) {
-    RecomputeFlags();
-  } else {
-    ComputeDayFlags(far_.back(), near_.back(), flags_.back());
-    for (int s = 0; s < config_.intervals_per_day; ++s) {
-      counts_[static_cast<std::size_t>(s)] +=
-          flags_.back()[static_cast<std::size_t>(s)];
-    }
+    // The evicted day held a window minimum: rescan the ring, new day
+    // included. A tie held by another day leaves every flag as it is.
+    const BinSummary ring = Summarize(far_, near_);
+    min_dirty = ring.far_min != far_min_ || ring.near_min != near_min_;
+    far_min_ = ring.far_min;
+    near_min_ = ring.near_min;
+  } else if (day.far_min < far_min_ || day.near_min < near_min_) {
+    far_min_ = std::min(far_min_, static_cast<double>(day.far_min));
+    near_min_ = std::min(near_min_, static_cast<double>(day.near_min));
+    min_dirty = true;
+  }
+
+  if (!min_dirty) {
+    ComputeDayFlags(row);
+    return;
+  }
+  // Unfilled slots hold NaN, so reflagging the whole ring flags only held days.
+  std::fill(counts_.begin(), counts_.end(), 0);
+  for (std::size_t slot = 0; slot < far_.size(); slot += intervals) {
+    ComputeDayFlags(slot);
   }
 }
+// manic-lint: hot-path(end)
 
 DayClassification RollingAutocorr::Classify() const {
   DayClassification cls;
-  if (far_.empty()) return cls;
+  if (days_ == 0) return cls;
 
   // Usable-data guard mirroring the batch implementation.
-  std::size_t defined = 0;
-  for (const auto& row : far_) {
-    for (const float v : row) {
-      if (!DayGrid::Missing(v)) ++defined;
-    }
-  }
-  const std::size_t total =
-      far_.size() * static_cast<std::size_t>(config_.intervals_per_day);
+  const std::size_t total = static_cast<std::size_t>(days_) *
+                            static_cast<std::size_t>(config_.intervals_per_day);
   cls.threshold_ms = far_min_ + config_.elevation_ms;
-  if (defined < total / 4) {
+  if (defined_ < total / 4) {
     cls.reject = RejectReason::kInsufficientData;
     return cls;
   }
 
   const auto det = detail::DetectRecurringWindow(
-      counts_, static_cast<int>(far_.size()),
+      counts_, days_,
       [&](int d, int s) {
-        return flags_[static_cast<std::size_t>(d)]
-                     [static_cast<std::size_t>(s)] != 0;
+        return flags_[RowStart(d) + static_cast<std::size_t>(s)] != 0;
       },
       config_);
   cls.reject = det.reject;
@@ -132,10 +129,10 @@ DayClassification RollingAutocorr::Classify() const {
   cls.window_len = det.window_len;
   if (!det.recurring) return cls;
 
-  const auto& today = flags_.back();
+  const std::size_t today = RowStart(days_ - 1);
   for (int k = 0; k < det.window_len; ++k) {
     const int s = (det.window_start + k) % config_.intervals_per_day;
-    if (today[static_cast<std::size_t>(s)] != 0) {
+    if (flags_[today + static_cast<std::size_t>(s)] != 0) {
       cls.congested_intervals.push_back(s);
     }
   }
@@ -146,12 +143,13 @@ DayClassification RollingAutocorr::Classify() const {
 }
 
 AutocorrResult RollingAutocorr::AnalyzeBatch() const {
-  DayGrid far(static_cast<int>(far_.size()), config_.intervals_per_day);
-  DayGrid near(static_cast<int>(near_.size()), config_.intervals_per_day);
-  for (std::size_t d = 0; d < far_.size(); ++d) {
+  DayGrid far(days_, config_.intervals_per_day);
+  DayGrid near(days_, config_.intervals_per_day);
+  for (int d = 0; d < days_; ++d) {
     for (int s = 0; s < config_.intervals_per_day; ++s) {
-      far.Set(static_cast<int>(d), s, far_[d][static_cast<std::size_t>(s)]);
-      near.Set(static_cast<int>(d), s, near_[d][static_cast<std::size_t>(s)]);
+      const std::size_t b = RowStart(d) + static_cast<std::size_t>(s);
+      far.Set(d, s, far_[b]);
+      near.Set(d, s, near_[b]);
     }
   }
   return AnalyzeWindow(far, near, config_);

@@ -68,10 +68,10 @@ void TslpSynthesizer::Day(std::int64_t day, std::vector<float>& far,
       const TimeSec tk = day_start + s * config_.bin_width + k * 300;
       if (hook != nullptr && !hook->VpUpAt(vp_, tk)) continue;
       ++rounds_up;
-      queue = std::min(queue,
-                       net_->ObservedQueueDelayMs(link_, Direction::kBtoA, tk));
-      const double loss = net_->ObservedLossProb(link_, Direction::kBtoA, tk);
-      p_all_lost *= std::pow(loss, config_.samples_per_bin / rounds);
+      const sim::QueueObservation obs =
+          net_->ObservedQueue(link_, Direction::kBtoA, tk);
+      queue = std::min(queue, obs.delay_ms);
+      p_all_lost *= std::pow(obs.loss_prob, config_.samples_per_bin / rounds);
     }
     if (rounds_up == 0) continue;  // VP down for the whole bin: both missing
     if (stats::Rng::HashToUnit(noise_key_, t, 0xA) >

@@ -49,7 +49,7 @@ class TslpSynthesizer {
   // round is missing on both sides), and bins whose tsdb write the hook
   // drops vanish silently. The VP-less constructors keep the synthesizer
   // blind to VP-scoped faults (link faults still apply — they flow through
-  // ObservedQueueDelayMs / ObservedLossProb). Clock skew is not modeled
+  // SimNetwork::ObservedQueue). Clock skew is not modeled
   // here: the synthesizer works at bin granularity and plan validation
   // bounds |skew| well below the bin width; the per-probe TSLP scheduler
   // models it instead.

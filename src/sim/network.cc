@@ -483,28 +483,17 @@ SimNetwork::RecordRouteReply SimNetwork::ProbeRecordRoute(VpId vp,
   return rr;
 }
 
-double SimNetwork::ObservedQueueDelayMs(LinkId link, Direction dir,
-                                        TimeSec t) const {
-  if (dynamics_.size() <= link) return 0.0;
+QueueObservation SimNetwork::ObservedQueue(LinkId link, Direction dir,
+                                          TimeSec t) const {
+  if (dynamics_.size() <= link) return {};
   const LinkDynamics& dyn = dynamics_[link];
   const auto& demand = dyn.demand[static_cast<int>(dir)];
-  if (!demand) return 0.0;
+  if (!demand) return {};
   bool up = true;
   const double u = FaultedUtilization(*demand, dyn, link, t, &up);
-  if (!up) return 0.0;  // nothing queues on a dead link (and nothing returns)
-  return dyn.queue.Observe(u).delay_ms;
-}
-
-double SimNetwork::ObservedLossProb(LinkId link, Direction dir,
-                                    TimeSec t) const {
-  if (dynamics_.size() <= link) return 0.0;
-  const LinkDynamics& dyn = dynamics_[link];
-  const auto& demand = dyn.demand[static_cast<int>(dir)];
-  if (!demand) return 0.0;
-  bool up = true;
-  const double u = FaultedUtilization(*demand, dyn, link, t, &up);
-  if (!up) return 1.0;  // a down link loses every packet
-  return dyn.queue.Observe(u).loss_prob;
+  // Nothing queues on a dead link, and it loses every packet.
+  if (!up) return {.delay_ms = 0.0, .loss_prob = 1.0};
+  return dyn.queue.Observe(u);
 }
 
 SimNetwork::ProbeExpectation SimNetwork::ExpectProbe(VpId vp, Ipv4Addr dst,

@@ -157,10 +157,10 @@ class SimNetwork {
   ProbeExpectation ExpectProbe(VpId vp, Ipv4Addr dst, int ttl, FlowId flow,
                                TimeSec t, bool include_queues = true);
 
-  // Noisy queueing delay / probe-drop probability of one link direction at
-  // time t (0 when no demand model is attached).
-  double ObservedQueueDelayMs(LinkId link, Direction dir, TimeSec t) const;
-  double ObservedLossProb(LinkId link, Direction dir, TimeSec t) const;
+  // Noisy queueing delay and probe-drop probability of one link direction
+  // at time t: {0, 0} when no demand model is attached, {0, 1} while the
+  // link is down.
+  QueueObservation ObservedQueue(LinkId link, Direction dir, TimeSec t) const;
 
   // ---- bulk-transfer view ---------------------------------------------------
   // Path quality between a VP and a destination at time t (for NDT/YouTube).

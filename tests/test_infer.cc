@@ -4,7 +4,12 @@
 // multi-VP merging, and the batch/rolling equivalence property.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "infer/autocorr.h"
 #include "infer/level_shift.h"
@@ -313,7 +318,6 @@ TEST(Rolling, MatchesBatchDayByDay) {
   stats::Rng rng(13);
   AutocorrConfig cfg;
   RollingAutocorr rolling(cfg);
-  std::deque<std::vector<float>> far_hist, near_hist;
 
   for (int d = 0; d < 120; ++d) {
     std::vector<float> far(96), near(96);
@@ -351,6 +355,131 @@ TEST(Rolling, WindowFillsAndEvicts) {
   for (int d = 0; d < 8; ++d) rolling.AddDay(row, row);
   EXPECT_TRUE(rolling.WindowFull());
   EXPECT_EQ(rolling.DaysHeld(), 5);
+}
+
+// Property: after every AddDay — window filling, full, and across several
+// ring wraps — the rolling state classifies exactly as the batch analysis
+// of the same window. Per-day missing-bin densities swing between sparse
+// and dense phases, so the usable-data guard flips both ways as days enter
+// and leave; rising baselines make the evicted day hold the window's far
+// and near minimum, forcing threshold recomputation on eviction, and
+// repeated days tie it.
+void CheckRollingMatchesBatch(int window_days, std::uint64_t seed) {
+  SCOPED_TRACE("window_days=" + std::to_string(window_days));
+  stats::Rng rng(seed);
+  AutocorrConfig cfg;
+  cfg.window_days = window_days;
+  // A recurrence must be assertable inside a short window too.
+  cfg.min_elevated_days = std::min(cfg.min_elevated_days, window_days / 2 + 1);
+  RollingAutocorr rolling(cfg);
+  std::deque<float> far_mins, near_mins;  // per held day, oldest first
+  std::vector<float> prev_far, prev_near;
+  int guard_rejects = 0, guard_passes = 0, recurring_days = 0;
+  int far_min_evictions = 0, near_min_evictions = 0, far_min_ties = 0;
+  const int days = 4 * window_days + 7;
+  const int phase = window_days + window_days / 2;
+  for (int d = 0; d < days; ++d) {
+    const bool sparse = (d / phase) % 2 == 1;
+    double nan_frac = sparse ? rng.Uniform(0.6, 1.0) : rng.Uniform(0.0, 0.4);
+    if (rng.Bernoulli(0.05)) nan_frac = sparse ? 1.0 : 0.0;
+    const double far_base = 10.0 + 0.1 * (d % (window_days + 3));
+    const double near_base = 5.0 + 0.05 * (d % (window_days + 1));
+    const bool congested_day = rng.Bernoulli(0.6);
+    std::vector<float> far(96), near(96);
+    for (int s = 0; s < 96; ++s) {
+      double fv = far_base + std::fabs(rng.Normal(0.0, 0.3));
+      if (congested_day && s >= 70 && s < 86) fv += 20.0;
+      // A shoulder straddling the threshold next to the recurring window:
+      // a threshold move flips bins and so the window's extent.
+      if (s >= 64 && s < 70) fv += rng.Uniform(5.0, 9.0);
+      double nv = near_base + std::fabs(rng.Normal(0.0, 0.2));
+      if (rng.Bernoulli(0.03)) nv += 12.0;  // near-side elevation vetoes
+      far[s] = rng.Bernoulli(nan_frac) ? std::numeric_limits<float>::quiet_NaN()
+                                       : static_cast<float>(fv);
+      near[s] = rng.Bernoulli(nan_frac) ? std::numeric_limits<float>::quiet_NaN()
+                                        : static_cast<float>(nv);
+    }
+    // Some days repeat the previous one, so the evicted day's minimum is
+    // often tied by a day that stays.
+    if (d > 0 && rng.Bernoulli(0.2)) {
+      far = prev_far;
+      near = prev_near;
+    }
+    prev_far = far;
+    prev_near = near;
+    float far_min = std::numeric_limits<float>::infinity();
+    float near_min = std::numeric_limits<float>::infinity();
+    for (int s = 0; s < 96; ++s) {
+      if (!std::isnan(far[s])) far_min = std::min(far_min, far[s]);
+      if (!std::isnan(near[s])) near_min = std::min(near_min, near[s]);
+    }
+    if (static_cast<int>(far_mins.size()) == window_days) {
+      const float far_rest =
+          *std::min_element(far_mins.begin() + 1, far_mins.end());
+      const float near_rest =
+          *std::min_element(near_mins.begin() + 1, near_mins.end());
+      if (far_mins.front() <= far_rest) ++far_min_evictions;
+      if (far_mins.front() == far_rest && !std::isinf(far_rest)) ++far_min_ties;
+      if (near_mins.front() <= near_rest) ++near_min_evictions;
+      far_mins.pop_front();
+      near_mins.pop_front();
+    }
+    far_mins.push_back(far_min);
+    near_mins.push_back(near_min);
+
+    rolling.AddDay(far, near);
+    ASSERT_EQ(rolling.DaysHeld(), std::min(d + 1, window_days)) << "day " << d;
+    ASSERT_EQ(rolling.WindowFull(), d + 1 >= window_days) << "day " << d;
+
+    const DayClassification cls = rolling.Classify();
+    const AutocorrResult batch = rolling.AnalyzeBatch();
+    ASSERT_EQ(cls.reject, batch.reject) << "day " << d;
+    ASSERT_EQ(cls.recurring, batch.recurring) << "day " << d;
+    if (batch.reject == RejectReason::kInsufficientData) {
+      ++guard_rejects;
+      continue;
+    }
+    ++guard_passes;
+    EXPECT_EQ(cls.threshold_ms, batch.threshold_ms) << "day " << d;
+    if (!batch.recurring) continue;
+    ++recurring_days;
+    EXPECT_EQ(cls.window_start, batch.window_start) << "day " << d;
+    EXPECT_EQ(cls.window_len, batch.window_len) << "day " << d;
+    EXPECT_EQ(cls.congested, batch.day_congested.back() != 0) << "day " << d;
+    EXPECT_EQ(cls.fraction, batch.day_fraction.back()) << "day " << d;
+  }
+  // The scenario really exercised what it is meant to.
+  EXPECT_GT(guard_rejects, 0);
+  EXPECT_GT(guard_passes, 0);
+  EXPECT_GT(recurring_days, 0);
+  EXPECT_GT(far_min_evictions, 0);
+  EXPECT_GT(near_min_evictions, 0);
+  EXPECT_GT(far_min_ties, 0);
+}
+
+TEST(Rolling, MatchesBatchAcrossRingWrapsAndGuardFlips) {
+  CheckRollingMatchesBatch(5, 21);
+  CheckRollingMatchesBatch(50, 22);
+}
+
+TEST(Rolling, NonPositiveWindowIsClampedToOneDay) {
+  for (const int window_days : {0, -3}) {
+    AutocorrConfig cfg;
+    cfg.window_days = window_days;
+    RollingAutocorr rolling(cfg);
+    EXPECT_FALSE(rolling.WindowFull());
+    EXPECT_EQ(rolling.DaysHeld(), 0);
+    std::vector<float> far(96, 10.0f), near(96, 5.0f);
+    for (int d = 0; d < 3; ++d) {
+      far[static_cast<std::size_t>(d)] = 30.0f;
+      rolling.AddDay(far, near);
+      EXPECT_TRUE(rolling.WindowFull());
+      EXPECT_EQ(rolling.DaysHeld(), 1);
+      const AutocorrResult batch = rolling.AnalyzeBatch();
+      EXPECT_EQ(batch.day_fraction.size(), 1u);
+      EXPECT_EQ(rolling.Classify().reject, batch.reject);
+    }
+  }
 }
 
 TEST(Rolling, DetectsOnsetOfCongestion) {

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -26,6 +27,7 @@
 #include "runtime/study_executor.h"
 #include "runtime/thread_pool.h"
 #include "scenario/driver.h"
+#include "sim/faults/fault_plan.h"
 
 namespace manic {
 namespace {
@@ -310,6 +312,53 @@ TEST(StudyDeterminism, MonthShardingIsBitIdenticalToo) {
   const std::string serial = Dump(RunMiniStudy(1, 0));
   const std::string sharded = Dump(RunMiniStudy(8, 1));
   EXPECT_EQ(serial, sharded);
+}
+
+// ---- cross-commit golden pin ------------------------------------------------
+
+// 64-bit FNV-1a, so a whole Dump pins to one constant.
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t GoldenStudyDigest(const sim::faults::FaultPlan* plan) {
+  scenario::UsBroadband world = scenario::MakeUsBroadband();
+  scenario::StudyOptions options;
+  options.days = 120;
+  options.max_vps = 3;
+  options.fault_plan = plan;
+  return Fnv1a(Dump(scenario::RunLongitudinalStudy(world, options)));
+}
+
+// The determinism tests above compare runs of one build; these pin a
+// reduced study's output across commits, so a change meant to be a pure
+// refactor or speedup must leave both digests exactly where they are. The
+// chaos run's link outage and VP outage take the synthesizer's down-link
+// and skipped-round paths, which a fault-free run never reaches.
+TEST(StudyGolden, FaultFreeDigestIsPinned) {
+  EXPECT_EQ(GoldenStudyDigest(nullptr), 0xf1f511149275c1abULL);
+}
+
+TEST(StudyGolden, SmallChaosDigestIsPinned) {
+  std::string error;
+  auto plan = sim::faults::FaultPlan::ParseFile(
+      std::string(MANIC_SOURCE_DIR) + "/examples/fault_plans/small_chaos.plan",
+      &error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  // The plan's link faults hit links 5 and 12, which this study does not
+  // observe, so two outages of link 208, which VP 0 observes, are added.
+  // Ten minutes from 04:00 UTC on day 18, inside the link's daily
+  // congestion, leave a bin whose minimum is a down round's empty queue.
+  // Days 60-99 lose every far bin, so the link's window fails the
+  // usable-data guard near the end of the outage.
+  plan->LinkDown(208, 18 * 86400 + 4 * 3600, 18 * 86400 + 4 * 3600 + 600);
+  plan->LinkDown(208, 60 * 86400, 100 * 86400);
+  EXPECT_EQ(GoldenStudyDigest(&*plan), 0x2a720567358c8ad0ULL);
 }
 
 // The canonical-order helpers are the sanctioned way to fold over hash
