@@ -27,7 +27,9 @@
 #      chaos study through the full serving plane (--serve, 4 ingest
 #      shards: daemon event loop, shard workers, and the query plane all
 #      under TSan) and a crashloop kill/recover cycle (WAL replay and the
-#      drain path under TSan), then UBSan (-DMANIC_SANITIZE=undefined,
+#      drain path under TSan), then ASan (-DMANIC_SANITIZE=address) running
+#      the runtime, framed-log, serve and WAL suites — every parser of
+#      on-disk log bytes — then UBSan (-DMANIC_SANITIZE=undefined,
 #      non-recoverable) running the full suite
 #      (set MANIC_CHECK_SKIP_UBSAN=1 to skip the UBSan half);
 #   6. static analysis: manic_lint --json over src/ bench/ tests/ examples/
@@ -154,7 +156,7 @@ grep -q '"samples_per_sec"' "$OUT_DIR/BENCH_check.json" || {
 scripts/perf_compare.sh "$OUT_DIR/BENCH_check.json"
 echo "perf gate OK (report: $OUT_DIR/BENCH_check.json)."
 
-stage "[5/6] sanitizer builds: TSan runtime/driver tests + serve chaos study, UBSan full suite"
+stage "[5/6] sanitizer builds: TSan runtime/driver tests + serve chaos study, ASan log parsers, UBSan full suite"
 cmake -B build-tsan -S . -DMANIC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target test_runtime test_driver \
   example_continental_study crashloop
@@ -174,6 +176,17 @@ rm -rf "$OUT_DIR/tsan_crashloop"
 ./build-tsan/tools/crashloop --out-dir "$OUT_DIR/tsan_crashloop" --shards 4 \
   --kills 2 --seed 3
 echo "TSan crashloop OK (2 seeded kills, recover + drain under the race detector)."
+# The durable-log parsers (framed-log reader, WAL recovery, checkpoint load)
+# and the wire codec under AddressSanitizer: torn, truncated, foreign and
+# hostile bytes must never read out of bounds.
+cmake -B build-asan -S . -DMANIC_SANITIZE=address >/dev/null
+ASAN_TESTS="test_runtime test_framed_log test_serve test_serve_wal"
+# shellcheck disable=SC2086
+cmake --build build-asan -j "$JOBS" --target $ASAN_TESTS
+for t in $ASAN_TESTS; do
+  ./build-asan/tests/"$t" --gtest_brief=1
+done
+echo "ASan log-parser suites OK ($ASAN_TESTS)."
 if [ "${MANIC_CHECK_SKIP_UBSAN:-0}" != "1" ]; then
   cmake -B build-ubsan -S . -DMANIC_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "$JOBS"

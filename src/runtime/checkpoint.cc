@@ -1,81 +1,51 @@
 #include "runtime/checkpoint.h"
 
-#include <filesystem>
-#include <fstream>
-
 namespace manic::runtime {
 
 namespace {
 
-constexpr char kMagic[] = "MANICCKPT1\n";
-constexpr std::size_t kMagicLen = sizeof(kMagic) - 1;
-
-std::uint64_t ReadU64(const std::string& data, std::size_t pos) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(data[pos + i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-void AppendU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
+// Format 2: framed [key u64][blob] records. A format-1 file (MANICCKPT1,
+// [key u64][len u64][blob]) reads as foreign: a study resuming from one
+// just recomputes.
+constexpr char kMagic[] = "MANICCKPT2\n";
+constexpr std::size_t kKeyBytes = 8;
+// Largest record (key + blob); a longer length prefix is damage.
+constexpr std::uint32_t kMaxRecord = 1u << 30;
 
 }  // namespace
 
-CheckpointLog::CheckpointLog(std::string path) : path_(std::move(path)) {
-  std::ifstream is(path_, std::ios::binary);
-  if (!is) {
-    // New log: stamp the header so a later open can validate it.
-    std::ofstream os(path_, std::ios::binary);
-    os.write(kMagic, static_cast<std::streamsize>(kMagicLen));
-    return;
-  }
-  std::string data((std::istreambuf_iterator<char>(is)),
-                   std::istreambuf_iterator<char>());
-  if (data.size() < kMagicLen ||
-      data.compare(0, kMagicLen, kMagic, kMagicLen) != 0) {
-    return;  // foreign or empty file: treat as no completed shards
-  }
-  constexpr std::size_t kHeader = CheckpointRecordHeader::kEncodedSize;
-  std::size_t pos = kMagicLen;
-  while (pos + kHeader <= data.size()) {
-    CheckpointRecordHeader header;
-    header.key = ReadU64(data, pos);
-    header.length = ReadU64(data, pos + 8);
-    if (pos + kHeader + header.length > data.size()) {
-      break;  // truncated tail: kill mid-write
-    }
-    records_[header.key] = data.substr(pos + kHeader, header.length);
-    pos += kHeader + header.length;
-  }
-  if (pos < data.size()) {
-    // Chop the torn record off the file, not just the parse: Record()
-    // appends, and bytes of a half-written record in the middle would
-    // corrupt every later reload.
-    is.close();
-    std::error_code ec;
-    std::filesystem::resize_file(path_, pos, ec);
-  }
+CheckpointLog::CheckpointLog(const std::string& path,
+                             const IoFaultHook* fault_hook)
+    : writer_(kMagic) {
+  const FramedLogScan scan = ScanFramedLog(
+      path, kMagic, kMaxRecord, /*chop_torn_tail=*/true,
+      [this](std::string_view record) {
+        BlobReader reader(record);
+        std::uint64_t key = 0;
+        if (!reader.GetU64(&key)) return false;
+        records_.insert_or_assign(key,
+                                  std::string(record.substr(kKeyBytes)));
+        return true;
+      });
+  if (scan.state != FramedLogState::kOk) return;  // Record() reports it
+  // A failed open leaves the writer closed, which Record() reports too.
+  (void)writer_.Open(path, fault_hook);
 }
 
-void CheckpointLog::Record(std::uint64_t key, std::string_view blob) {
-  CheckpointRecordHeader header;
-  header.key = key;
-  header.length = blob.size();
-  std::string rec;
-  rec.reserve(CheckpointRecordHeader::kEncodedSize + blob.size());
-  AppendU64(rec, header.key);
-  AppendU64(rec, header.length);
-  rec.append(blob);
-  std::ofstream os(path_, std::ios::binary | std::ios::app);
-  os.write(rec.data(), static_cast<std::streamsize>(rec.size()));
-  os.flush();
-  records_[key] = std::string(blob);
+LogStatus CheckpointLog::Record(std::uint64_t key, std::string_view blob) {
+  if (blob.size() > kMaxRecord - kKeyBytes) return LogStatus::kIoError;
+  std::string record;
+  PutRecordHeader(static_cast<std::uint32_t>(kKeyBytes + blob.size()),
+                  &record);
+  for (std::size_t i = 0; i < kKeyBytes; ++i) {
+    record.push_back(static_cast<char>((key >> (8 * i)) & 0xFF));
+  }
+  record.append(blob);
+  const LogStatus status = writer_.Append(record);
+  if (status == LogStatus::kOk) {
+    records_.insert_or_assign(key, std::string(blob));
+  }
+  return status;
 }
 
 std::optional<std::string> CheckpointLog::Lookup(std::uint64_t key) const {

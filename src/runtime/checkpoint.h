@@ -1,7 +1,7 @@
 // Append-only shard checkpoint log. Every completed shard's result is
-// serialized as one [key, length, bytes] record; a study killed mid-write
-// leaves at most one truncated trailing record, which Load discards — the
-// file never needs repair. On resume, shards whose key is already present
+// serialized as one [key, blob] record of a runtime::FramedLog; a study
+// killed mid-write leaves at most one torn trailing record, which loading
+// chops off the file. On resume, shards whose key is already present
 // restore their saved blob and skip the work; because merges replay in the
 // same canonical key order either way, a resumed study's output is
 // byte-identical to an uninterrupted run.
@@ -18,21 +18,9 @@
 #include <string>
 #include <string_view>
 
+#include "runtime/framed_log.h"
+
 namespace manic::runtime {
-
-// The fixed prefix of one on-disk checkpoint record: [key][length], both
-// little-endian u64, followed by `length` blob bytes. The shape is pinned
-// in tools/manic_lint/layout.txt (wire-abi pass) — adding a field here
-// would silently orphan every existing checkpoint file, so the pin forces
-// a deliberate format-version bump instead.
-struct CheckpointRecordHeader {
-  std::uint64_t key = 0;
-  std::uint64_t length = 0;
-
-  // Encoded size of the prefix; Record() and the load loop both use this
-  // rather than a bare 16.
-  static constexpr std::uint64_t kEncodedSize = 16;
-};
 
 class BlobWriter {
  public:
@@ -101,22 +89,25 @@ class BlobReader {
 class CheckpointLog {
  public:
   // Opens (or creates) the log at `path` and loads every complete record;
-  // a truncated trailing record — the signature of a kill mid-write — is
-  // dropped silently. A later record for a key shadows an earlier one.
-  explicit CheckpointLog(std::string path);
+  // a torn trailing record (a kill mid-write) is chopped off. A later
+  // record for a key shadows an earlier one. A foreign or damaged file (an
+  // older format included) is never appended to. `fault_hook`: test seam.
+  explicit CheckpointLog(const std::string& path,
+                         const IoFaultHook* fault_hook = nullptr);
 
-  // Appends one record and flushes it to the file immediately.
-  void Record(std::uint64_t key, std::string_view blob);
+  // Appends one record (written through, not fsynced). Not kOk: neither it
+  // nor any later record is durable; a resume recomputes those shards.
+  LogStatus Record(std::uint64_t key, std::string_view blob);
+  // False once the log refuses appends (a bad file or a failed Record).
+  bool writable() const noexcept { return writer_.is_open(); }
 
   // Saved blob for a shard key, if one survived loading.
   std::optional<std::string> Lookup(std::uint64_t key) const;
 
-  bool Has(std::uint64_t key) const { return records_.count(key) != 0; }
   std::size_t size() const noexcept { return records_.size(); }
-  const std::string& path() const noexcept { return path_; }
 
  private:
-  std::string path_;
+  FramedLogWriter writer_;
   std::map<std::uint64_t, std::string> records_;
 };
 

@@ -1,16 +1,17 @@
-// The I/O fault-injection seam for every durable-file writer (serve WAL,
-// replay recordings, checkpoint logs): the same narrow-hook shape as
-// sim::FaultHook, but for the syscall layer instead of the network. A writer
-// consults the installed hook before each write() attempt, each fsync(), and
-// each whole-record append; the hook answers with the fault to simulate —
-// short write, EINTR, ENOSPC, fsync failure, or a crash point that kills the
-// process after a prescribed number of bytes of the record hit the file.
+// The I/O fault-injection seam of runtime::FramedLogWriter, the one durable-
+// file writer (under the serve WAL and the checkpoint log): the same
+// narrow-hook shape as sim::FaultHook, but for the syscall layer instead of
+// the network. The writer consults the installed hook before each write()
+// attempt, each fsync(), and each whole-record append; the hook answers
+// with the fault to simulate — short write, EINTR, ENOSPC, fsync failure,
+// or a crash point that kills the process after a prescribed number of
+// bytes of the record hit the file.
 //
 // Every query is a pure function of (script, arguments) — the caller passes
 // monotone op/record indices, the hook keeps no mutable state — so a faulted
 // run is replayable bit-identically, and tools/crashloop can kill the daemon
 // at seeded points and diff recovery against an uncrashed reference. A null
-// hook (the production configuration) means no faults; the write loops are
+// hook (the production configuration) means no faults; the write loop is
 // untouched.
 #pragma once
 

@@ -141,8 +141,11 @@ void StudyExecutor::Execute(
   // shard's blob as it merges, so the log's record order is canonical too.
   for (std::size_t i = 0; i < shards.size(); ++i) {
     if (shards[i].merge) shards[i].merge();
-    if (checkpoint != nullptr && !restored[i] && shards[i].save) {
-      checkpoint->Record(shards[i].key, shards[i].save());
+    if (checkpoint != nullptr && !restored[i] && shards[i].save &&
+        checkpoint->Record(shards[i].key, shards[i].save()) !=
+            LogStatus::kOk) {
+      // The log refuses appends from here on; the output is unaffected.
+      checkpoint = nullptr;
     }
     if (progress) progress(i + 1, shards.size());
   }

@@ -540,6 +540,7 @@ void RunDailyLoopSharded(UsBroadband& world, const StudyOptions& options,
           Notify(options, "classify", done, total);
         },
         checkpoint.has_value() ? &*checkpoint : nullptr, options.watchdog);
+    result.checkpoint_refused = checkpoint && !checkpoint->writable();
   }
 
   // ---- phase: aggregate (serial, canonical order) --------------------------

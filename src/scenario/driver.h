@@ -176,6 +176,8 @@ struct StudyResult {
   // Day-link confusion matrix vs ground truth (>= 4% congested), the
   // operator-validation analogue.
   long long truth_tp = 0, truth_fp = 0, truth_fn = 0, truth_tn = 0;
+  // The checkpoint log refused appends: a resume recomputes what it lacks.
+  bool checkpoint_refused = false;
   double TruthAccuracy() const noexcept {
     const long long total = truth_tp + truth_fp + truth_fn + truth_tn;
     return total == 0 ? 0.0

@@ -152,6 +152,7 @@ WalRecoverStats CongestionService::RecoverFromWal() {
   }
   if (!running_) Start();  // replay needs the shard workers
   replaying_ = true;
+  bool bad_marker = false;
   stats = ReadWal(
       config_.wal_dir,
       [this](std::span<const Sample> batch) {
@@ -163,8 +164,24 @@ WalRecoverStats CongestionService::RecoverFromWal() {
           (void)replayed;  // logged samples re-admit deterministically
         }
       },
-      [this](std::int64_t day) { CloseThrough(day); });
+      [this, &bad_marker](std::int64_t day) {
+        // A live close never leaves the sample bounds: walking to a marker
+        // outside them could take ~1e14 days. One before any sample is a
+        // clock-driven first close, seeded as PollClock did; one for a day
+        // already closed is a no-op (a first sample can land past it).
+        bad_marker |= day < -kMaxAbsSampleDay || day > kMaxAbsSampleDay;
+        if (bad_marker) return;
+        if (!saw_sample_) {
+          saw_sample_ = true;
+          producer_last_closed_ = day - 1;
+        }
+        CloseThrough(day);
+      });
   replaying_ = false;
+  if (stats.ok && bad_marker) {
+    stats.ok = false;
+    stats.error = "day-close marker out of bounds under " + config_.wal_dir;
+  }
   if (!stats.ok) return stats;
   // New appends land in a fresh segment past everything just replayed.
   wal_ = std::make_unique<WalWriter>();

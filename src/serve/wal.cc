@@ -1,12 +1,7 @@
 #include "serve/wal.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <vector>
@@ -17,7 +12,6 @@ namespace manic::serve {
 namespace {
 
 constexpr char kMagic[] = "MANICWAL1\n";
-constexpr std::size_t kMagicLen = sizeof(kMagic) - 1;
 constexpr char kCleanMarker[] = "wal-clean";
 
 std::string SegmentName(std::uint32_t index) {
@@ -60,7 +54,7 @@ std::vector<std::pair<std::uint32_t, std::string>> ListSegments(
 
 }  // namespace
 
-WalWriter::~WalWriter() { Abandon(); }
+WalWriter::WalWriter() : log_(kMagic) {}
 
 WalStatus WalWriter::Open(const WalConfig& config) {
   Abandon();
@@ -71,87 +65,38 @@ WalStatus WalWriter::Open(const WalConfig& config) {
   if (ec) return WalStatus::kIoError;
   // Appending again: the log is live, the previous clean shutdown is over.
   std::filesystem::remove(CleanMarkerPath(config_.dir), ec);
-  next_segment_ = 1;
-  for (const auto& [index, path] : ListSegments(config_.dir)) {
-    if (index >= next_segment_) next_segment_ = index + 1;
-  }
+  const auto segments = ListSegments(config_.dir);
+  next_segment_ = segments.empty() ? 1 : segments.back().first + 1;
   return OpenSegment();
 }
 
 WalStatus WalWriter::OpenSegment() {
   const std::string path = config_.dir + "/" + SegmentName(next_segment_);
-  fd_ = ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
-  if (fd_ < 0) return errno == ENOSPC ? WalStatus::kNoSpace : WalStatus::kIoError;
   ++next_segment_;
   ++segments_opened_;
   segment_written_ = 0;
-  return WriteAll(kMagic, kMagicLen);
+  return log_.Open(path, config_.fault_hook);
 }
 
 // The WAL append fast path: runs once per consumed submit batch and per day
-// close, so it is fenced by the linter's hot-path contract — the only I/O
-// and allocation here are the explicitly justified durability calls below.
+// close, so it is fenced by the linter's hot-path contract — one write() of
+// the reused frame buffer per record, inside FramedLogWriter::Append.
 // manic-lint: hot-path(begin)
-WalStatus WalWriter::WriteAll(const char* data, std::size_t len) {
-  std::size_t off = 0;
-  while (off < len) {
-    std::size_t attempt = len - off;
-    if (config_.fault_hook != nullptr) {
-      using Kind = runtime::IoFaultHook::WriteFault::Kind;
-      const auto fault = config_.fault_hook->WriteAt(write_ops_++, attempt);
-      switch (fault.kind) {
-        case Kind::kPass:
-          break;
-        case Kind::kEintr:
-          continue;  // the syscall "failed" with EINTR: retry, no bytes moved
-        case Kind::kShort:
-          attempt = std::max<std::size_t>(1, std::min(fault.short_len, attempt));
-          break;
-        case Kind::kEnospc:
-          return WalStatus::kNoSpace;
-      }
-    }
-    // The durability write itself — the one syscall this path exists for.
-    // manic-lint: allow(hot-path)
-    const ssize_t n = ::write(fd_, data + off, attempt);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return errno == ENOSPC ? WalStatus::kNoSpace : WalStatus::kIoError;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return WalStatus::kOk;
-}
-
-WalStatus WalWriter::AppendFrame(std::string_view frame, bool day_close) {
-  if (fd_ < 0) return WalStatus::kIoError;
-  if (config_.fault_hook != nullptr) {
-    const std::int64_t crash = config_.fault_hook->CrashBytesAt(records_);
-    if (crash >= 0) {
-      // Kill point: emit the prescribed torn prefix, then die where a real
-      // crash would — recovery sees a record cut mid-header or mid-payload.
-      const std::size_t torn =
-          std::min(frame.size(), static_cast<std::size_t>(crash));
-      (void)WriteAll(frame.data(), torn);
-      std::_Exit(42);
-    }
-  }
-  const WalStatus written = WriteAll(frame.data(), frame.size());
+WalStatus WalWriter::AppendFrame(bool day_close) {
+  // A v1 frame is one framed record as it stands: [u32 length][type]...
+  const WalStatus written = log_.Append(frame_buf_);
   if (written != WalStatus::kOk) return written;
-  ++records_;
-  segment_written_ += frame.size();
+  segment_written_ += frame_buf_.size();
   if (config_.fsync == WalFsync::kEveryAppend ||
       (day_close && config_.fsync == WalFsync::kDayClose)) {
-    const WalStatus synced = FsyncNow();
+    const WalStatus synced = log_.Sync();
     if (synced != WalStatus::kOk) return synced;
   }
   if (segment_written_ >= config_.segment_bytes) {
     // Seal the full segment (its bytes must outlive the rotation) and roll
     // to the next — a cold, once-per-64MiB branch.
-    const WalStatus sealed = FsyncNow();
+    const WalStatus sealed = log_.Sync();
     if (sealed != WalStatus::kOk) return sealed;
-    ::close(fd_);
-    fd_ = -1;
     return OpenSegment();
   }
   return WalStatus::kOk;
@@ -163,52 +108,25 @@ WalStatus WalWriter::AppendSamples(std::span<const Sample> samples) {
   // once the high-water batch size has been seen.
   frame_buf_.clear();
   EncodeSubmitBatchTo(samples, &frame_buf_);
-  return AppendFrame(frame_buf_, false);
+  return AppendFrame(false);
 }
 
 WalStatus WalWriter::AppendClose(std::int64_t day) {
   frame_buf_.clear();
   EncodeFlushAckTo(day, &frame_buf_);
-  return AppendFrame(frame_buf_, true);
+  return AppendFrame(true);
 }
 // manic-lint: hot-path(end)
 
-WalStatus WalWriter::FsyncNow() {
-  if (config_.fault_hook != nullptr &&
-      !config_.fault_hook->FsyncOkAt(fsync_ops_++)) {
-    return WalStatus::kIoError;
-  }
-  // fdatasync, not fsync: recovery needs the appended bytes and the file
-  // size (both covered), not the mtime — whose journal commit is most of
-  // an ext4 fsync's cost on the day-close path.
-  if (::fdatasync(fd_) != 0) {
-    return errno == ENOSPC ? WalStatus::kNoSpace : WalStatus::kIoError;
-  }
-  return WalStatus::kOk;
-}
-
-WalStatus WalWriter::Sync() {
-  if (fd_ < 0) return WalStatus::kIoError;
-  return FsyncNow();
-}
-
 WalStatus WalWriter::CloseClean() {
-  if (fd_ < 0) return WalStatus::kIoError;
-  const WalStatus synced = FsyncNow();
+  if (!log_.is_open()) return WalStatus::kIoError;
+  const WalStatus synced = log_.Sync();
   if (synced != WalStatus::kOk) return synced;
-  ::close(fd_);
-  fd_ = -1;
+  log_.Close();
   std::ofstream marker(CleanMarkerPath(config_.dir), std::ios::binary);
   marker << kMagic;
   marker.flush();
   return marker.good() ? WalStatus::kOk : WalStatus::kIoError;
-}
-
-void WalWriter::Abandon() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
 }
 
 WalRecoverStats ReadWal(
@@ -222,82 +140,61 @@ WalRecoverStats ReadWal(
     return stats;
   }
   stats.clean_shutdown = std::filesystem::exists(CleanMarkerPath(dir), ec);
-  const auto segments = ListSegments(dir);
+  // Record bodies are [type][payload], decoded in place: no second copy.
   std::vector<Sample> batch;
+  std::int64_t day = 0;
+  std::string rejected = "corrupt framing";
+  const auto on_record = [&](std::string_view record) {
+    const auto type = static_cast<MsgType>(record[0]);
+    const std::string_view payload = record.substr(1);
+    if (type == MsgType::kSubmitBatch) {
+      if (!DecodeSubmitBatch(payload, &batch)) {
+        rejected = "malformed sample record";
+        return false;
+      }
+      stats.samples += batch.size();
+      on_samples(batch);
+    } else if (type == MsgType::kFlushAck) {
+      if (!DecodeFlushAck(payload, &day)) {
+        rejected = "malformed day-close marker";
+        return false;
+      }
+      ++stats.closes;
+      on_close(day);
+    } else {
+      rejected = "foreign frame type";
+      return false;
+    }
+    ++stats.records;
+    return true;
+  };
+  const auto segments = ListSegments(dir);
   for (std::size_t i = 0; i < segments.size(); ++i) {
+    // Only the newest segment may end torn, so only its tail is chopped.
     const bool last = i + 1 == segments.size();
     const std::string& path = segments[i].second;
-    std::ifstream is(path, std::ios::binary);
-    if (!is) {
-      stats.error = "cannot open wal segment " + path;
-      return stats;
-    }
-    std::string data((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-    is.close();
-    if (data.size() < kMagicLen) {
-      // A crash while stamping the magic of a fresh segment: nothing was
-      // ever durable here. Anywhere else it is damage.
-      if (!last) {
-        stats.error = "short wal segment " + path;
-        return stats;
-      }
-      stats.truncated_bytes += data.size();
-      std::filesystem::remove(path, ec);
-      break;
-    }
-    if (data.compare(0, kMagicLen, kMagic, kMagicLen) != 0) {
+    const runtime::FramedLogScan scan = runtime::ScanFramedLog(
+        path, kMagic, kMaxFramePayload + 1, last, on_record);
+    if (scan.state == runtime::FramedLogState::kForeign) {
       stats.error = "bad magic in wal segment " + path;
       return stats;
     }
-    FrameAssembler assembler;
-    assembler.Feed(std::string_view(data).substr(kMagicLen));
-    MsgType type;
-    std::string payload;
-    while (assembler.Next(&type, &payload)) {
-      if (type == MsgType::kSubmitBatch) {
-        if (!DecodeSubmitBatch(payload, &batch)) {
-          stats.error = "malformed sample record in " + path;
-          return stats;
-        }
-        ++stats.records;
-        stats.samples += batch.size();
-        on_samples(batch);
-      } else if (type == MsgType::kFlushAck) {
-        std::int64_t day = 0;
-        if (!DecodeFlushAck(payload, &day)) {
-          stats.error = "malformed day-close marker in " + path;
-          return stats;
-        }
-        ++stats.records;
-        ++stats.closes;
-        on_close(day);
-      } else {
-        stats.error = "foreign frame type in " + path;
-        return stats;
-      }
-    }
-    if (assembler.corrupt()) {
-      stats.error = "corrupt framing in " + path;
+    if (scan.state == runtime::FramedLogState::kDamaged) {
+      stats.error = rejected + " in " + path;
       return stats;
     }
-    const std::size_t leftover = assembler.buffered();
-    if (leftover != 0) {
-      if (!last) {
-        // A torn record can only live at the very tail of the log: one in
-        // the middle means the files were damaged, not just interrupted.
-        stats.error = "torn record inside non-final segment " + path;
-        return stats;
-      }
-      // The kill-mid-append signature. Chop it off the file, not just the
-      // parse: the next incarnation appends to a fresh segment, but an
-      // operator concatenating segments must never see half a record.
-      stats.truncated_bytes += leftover;
-      std::filesystem::resize_file(path, data.size() - leftover, ec);
-      if (ec) {
-        stats.error = "cannot truncate torn tail of " + path;
-        return stats;
-      }
+    if (!last && (scan.end == 0 || scan.torn_bytes != 0)) {
+      // A torn record or magic can only live at the very tail of the log:
+      // anywhere else the files were damaged, not just interrupted.
+      stats.error = "torn record inside non-final segment " + path;
+      return stats;
+    }
+    stats.truncated_bytes += scan.torn_bytes;
+    if (scan.end == 0) {
+      // A crash while stamping the magic of a fresh segment: nothing was
+      // ever durable here.
+      std::filesystem::remove(path, ec);
+      break;
     }
     ++stats.segments;
   }

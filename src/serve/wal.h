@@ -7,12 +7,13 @@
 //   wal-000002.seg   ...
 //   wal-clean        present only after a graceful CloseClean()
 //
+// Each segment is a runtime::FramedLog whose records are exactly v1 frames.
 // Each daemon incarnation appends to a fresh segment, so a crash can tear at
-// most the tail of the newest segment; ReadWal chops that torn tail off the
-// file (the CheckpointLog idiom) and replays every complete record in order.
-// Because the record stream IS the admitted-sample stream, replaying it
-// through the same submit path rebuilds the service byte-identically — the
-// recovered verdict log equals an uncrashed run's at any shard count.
+// most the tail of the newest segment; ReadWal chops that torn tail off and
+// replays every complete record in order. Because the record stream IS the
+// consumed-sample stream, replaying it through the same submit path rebuilds
+// the service byte-identically at any shard count — so a copy of a WAL
+// directory is also the recording of a run.
 //
 // Durability ladder (WalFsync): kNone trusts the page cache entirely (crash-
 // of-process safe, not power-loss safe); kDayClose (default) fsyncs at every
@@ -22,11 +23,10 @@
 // reconnecting client (RetryingClient + kGetWatermark) resubmits exactly the
 // un-acked suffix.
 //
-// All file writes funnel through one fault-aware write loop: an installed
-// runtime::IoFaultHook can inject short writes, EINTR, ENOSPC, fsync failure,
-// and mid-record crash points — the seam tools/crashloop and the WAL tests
-// drive. kNoSpace is the degradation trigger: the service sheds ingest and
-// keeps serving queries instead of aborting.
+// An installed runtime::IoFaultHook can inject short writes, EINTR, ENOSPC,
+// fsync failure, and mid-record crash points — the seam tools/crashloop and
+// the WAL tests drive. kNoSpace is the degradation trigger: the service
+// sheds ingest and keeps serving queries instead of aborting.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +34,7 @@
 #include <span>
 #include <string>
 
+#include "runtime/framed_log.h"
 #include "runtime/io_fault.h"
 #include "serve/sample.h"
 
@@ -53,22 +54,7 @@ struct WalConfig {
 
 // Outcome of a WAL open/append/sync. kNoSpace (ENOSPC) is recoverable by
 // the degradation ladder — serve queries, shed ingest; kIoError is not.
-enum class [[nodiscard]] WalStatus : std::uint8_t {
-  kOk,
-  kNoSpace,
-  kIoError,
-};
-
-// The fixed prefix of one on-disk WAL record — the v1 frame header, [u32
-// length][u8 type], length counting the type byte plus the payload. Pinned
-// in tools/manic_lint/layout.txt (wire-abi): widening it would orphan every
-// existing log, so the pin forces a deliberate format bump instead.
-struct WalRecordHeader {
-  std::uint32_t length = 0;
-  std::uint8_t type = 0;
-
-  static constexpr std::uint64_t kEncodedSize = 5;
-};
+using WalStatus = runtime::LogStatus;
 
 struct [[nodiscard]] WalRecoverStats {
   std::uint64_t segments = 0;   // segment files replayed
@@ -86,8 +72,7 @@ struct [[nodiscard]] WalRecoverStats {
 // producer (the daemon event loop) owns it.
 class WalWriter {
  public:
-  WalWriter() = default;
-  ~WalWriter();
+  WalWriter();
 
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
@@ -95,7 +80,7 @@ class WalWriter {
   // Creates the directory if needed, removes the clean marker, and opens a
   // new segment numbered past every existing one.
   WalStatus Open(const WalConfig& config);
-  bool is_open() const noexcept { return fd_ >= 0; }
+  bool is_open() const noexcept { return log_.is_open(); }
 
   // One kSubmitBatch record for the run of consumed samples. No-op for an
   // empty span.
@@ -104,30 +89,26 @@ class WalWriter {
   WalStatus AppendClose(std::int64_t day);
 
   // Forces everything appended so far to the platter, regardless of policy.
-  WalStatus Sync();
+  WalStatus Sync() { return log_.Sync(); }
   // Sync + write the clean-shutdown marker + close the descriptor. The next
   // Open() removes the marker again.
   WalStatus CloseClean();
   // Closes the descriptor without the marker — the degraded-mode exit, and
   // the destructor's path: an unclean close is exactly what recovery expects.
-  void Abandon();
+  void Abandon() { log_.Close(); }
 
-  std::uint64_t records_appended() const noexcept { return records_; }
+  std::uint64_t records_appended() const noexcept { return log_.records(); }
   std::uint64_t segments_opened() const noexcept { return segments_opened_; }
 
  private:
-  WalStatus AppendFrame(std::string_view frame, bool day_close);
-  WalStatus WriteAll(const char* data, std::size_t len);
+  WalStatus AppendFrame(bool day_close);
   WalStatus OpenSegment();
-  WalStatus FsyncNow();
 
   WalConfig config_;
-  int fd_ = -1;
+  // The open segment. Its fault-seam counters span every segment opened.
+  runtime::FramedLogWriter log_;
   std::uint32_t next_segment_ = 1;
   std::uint64_t segments_opened_ = 0;
-  std::uint64_t records_ = 0;        // whole-record append counter (crash seam)
-  std::uint64_t write_ops_ = 0;      // write() attempt counter (fault seam)
-  std::uint64_t fsync_ops_ = 0;      // fsync() attempt counter (fault seam)
   std::size_t segment_written_ = 0;  // record bytes in the open segment
   std::string frame_buf_;            // reused per-append encode buffer
 };

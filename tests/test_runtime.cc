@@ -22,6 +22,8 @@
 #include <vector>
 
 #include "runtime/canonical.h"
+#include "runtime/checkpoint.h"
+#include "runtime/io_fault.h"
 #include "runtime/parse.h"
 #include "runtime/seed_tree.h"
 #include "runtime/study_executor.h"
@@ -278,7 +280,8 @@ std::string Dump(const scenario::StudyResult& result) {
 }
 
 scenario::StudyResult RunMiniStudy(int threads, int months_per_shard,
-                                   runtime::Metrics* metrics = nullptr) {
+                                   runtime::Metrics* metrics = nullptr,
+                                   const std::string& checkpoint_path = "") {
   // A fresh world per run: discovery probing advances the network's RNG, so
   // reusing one world would not be a like-for-like comparison.
   scenario::UsBroadbandOptions world_options;
@@ -290,6 +293,7 @@ scenario::StudyResult RunMiniStudy(int threads, int months_per_shard,
   options.runtime.threads = threads;
   options.runtime.months_per_shard = months_per_shard;
   options.runtime.metrics = metrics;
+  options.checkpoint_path = checkpoint_path;
   return scenario::RunLongitudinalStudy(world, options);
 }
 
@@ -441,9 +445,10 @@ TEST(CheckpointLog, RoundTripAndShadowing) {
   {
     runtime::CheckpointLog log(path);
     EXPECT_EQ(log.size(), 0u);
-    log.Record(7, "alpha");
-    log.Record(9, "beta");
-    log.Record(7, "gamma");  // a later record shadows the earlier one
+    EXPECT_EQ(log.Record(7, "alpha"), runtime::LogStatus::kOk);
+    EXPECT_EQ(log.Record(9, "beta"), runtime::LogStatus::kOk);
+    // A later record shadows the earlier one.
+    EXPECT_EQ(log.Record(7, "gamma"), runtime::LogStatus::kOk);
   }
   runtime::CheckpointLog log(path);
   EXPECT_EQ(log.size(), 2u);
@@ -458,19 +463,19 @@ TEST(CheckpointLog, TruncatedTailIsDiscardedAndLogStaysAppendable) {
   std::remove(path.c_str());
   {
     runtime::CheckpointLog log(path);
-    log.Record(1, "one");
-    log.Record(2, "twotwo");
+    EXPECT_EQ(log.Record(1, "one"), runtime::LogStatus::kOk);
+    EXPECT_EQ(log.Record(2, "twotwo"), runtime::LogStatus::kOk);
   }
   // A kill mid-write leaves a half-written trailing record.
   std::filesystem::resize_file(path, std::filesystem::file_size(path) - 3);
   {
     runtime::CheckpointLog log(path);
     EXPECT_EQ(log.size(), 1u);
-    EXPECT_TRUE(log.Has(1));
-    EXPECT_FALSE(log.Has(2));
+    EXPECT_TRUE(log.Lookup(1).has_value());
+    EXPECT_FALSE(log.Lookup(2).has_value());
     // Re-recording the lost shard must not leave torn bytes in the middle
     // of the file...
-    log.Record(2, "twotwo");
+    EXPECT_EQ(log.Record(2, "twotwo"), runtime::LogStatus::kOk);
   }
   // ...so a *second* resume still parses every record.
   runtime::CheckpointLog log(path);
@@ -487,6 +492,72 @@ TEST(CheckpointLog, ForeignFileYieldsNoRecords) {
   }
   const runtime::CheckpointLog log(path);
   EXPECT_EQ(log.size(), 0u);
+  std::remove(path.c_str());
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// An empty file, or one killed while its magic was being stamped, holds
+// nothing durable: the log re-stamps it, and what is recorded next survives
+// a reload.
+TEST(CheckpointLog, ShortFileIsRestampedAndRecords) {
+  const std::string path = testing::TempDir() + "manic_ckpt_short.log";
+  for (const std::string& stub : {std::string(), std::string("MANIC")}) {
+    {
+      std::ofstream os(path, std::ios::binary);
+      os << stub;
+    }
+    {
+      runtime::CheckpointLog log(path);
+      EXPECT_EQ(log.size(), 0u);
+      EXPECT_EQ(log.Record(3, "three"), runtime::LogStatus::kOk);
+    }
+    const runtime::CheckpointLog log(path);
+    EXPECT_EQ(log.Lookup(3), "three") << "stub of " << stub.size() << " bytes";
+  }
+  std::remove(path.c_str());
+}
+
+// A foreign file — including a format-1 checkpoint — is never appended to:
+// Record reports the refusal and the file keeps its bytes.
+TEST(CheckpointLog, ForeignFileIsNeverAppendedTo) {
+  const std::string path = testing::TempDir() + "manic_ckpt_v1.log";
+  for (const std::string& foreign :
+       {std::string("MANICCKPT1\n") + std::string(16, '\0'),
+        std::string("this is not a checkpoint log\n")}) {
+    {
+      std::ofstream os(path, std::ios::binary);
+      os << foreign;
+    }
+    runtime::CheckpointLog log(path);
+    EXPECT_EQ(log.size(), 0u);
+    EXPECT_NE(log.Record(1, "one"), runtime::LogStatus::kOk);
+    EXPECT_FALSE(log.Lookup(1).has_value());
+    EXPECT_EQ(FileBytes(path), foreign);
+  }
+  std::remove(path.c_str());
+}
+
+// A study pointed at a checkpoint it cannot append to (a format-1 log here)
+// leaves the file alone and says so; its output does not change.
+TEST(CheckpointLog, RefusedLogIsReportedByTheStudy) {
+  const std::string path = testing::TempDir() + "manic_ckpt_study.log";
+  std::remove(path.c_str());
+  const scenario::StudyResult fresh = RunMiniStudy(2, 0, nullptr, path);
+  EXPECT_FALSE(fresh.checkpoint_refused);
+  const std::string v1 = std::string("MANICCKPT1\n") + std::string(16, '\0');
+  {
+    std::ofstream os(path, std::ios::binary);
+    os << v1;
+  }
+  const scenario::StudyResult refused = RunMiniStudy(2, 0, nullptr, path);
+  EXPECT_TRUE(refused.checkpoint_refused);
+  EXPECT_EQ(Dump(refused), Dump(fresh));
+  EXPECT_EQ(FileBytes(path), v1);
   std::remove(path.c_str());
 }
 
@@ -520,51 +591,89 @@ TEST(Blob, ExactBitsRoundTrip) {
 
 // ---- executor: checkpoint seam and watchdog --------------------------------
 
+// What one checkpointed four-shard study did: its folded output, and how
+// many shards ran their work and were serialized for the log.
+struct CheckpointedRun {
+  std::vector<double> merged;
+  int works = 0;
+  int saves = 0;
+  bool writable = false;  // the log still took appends at the end
+};
+
+CheckpointedRun RunCheckpointed(const std::string& path,
+                                const runtime::IoFaultHook* fault_hook) {
+  runtime::ThreadPool pool(2);
+  runtime::StudyExecutor executor(pool);
+  runtime::CheckpointLog checkpoint(path, fault_hook);
+  CheckpointedRun result;
+  std::vector<runtime::StudyExecutor::Shard> shards;
+  auto buffers = std::make_shared<std::vector<double>>(4, 0.0);
+  std::atomic<int> works{0};
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    runtime::StudyExecutor::Shard shard;
+    shard.key = k;
+    shard.work = [k, buffers, &works] {
+      (*buffers)[k] = static_cast<double>(k) * 1.25 + 0.1;
+      works.fetch_add(1, std::memory_order_relaxed);
+    };
+    shard.merge = [k, buffers, &result] {
+      result.merged.push_back((*buffers)[k]);
+    };
+    shard.save = [k, buffers, &result] {
+      ++result.saves;  // saves run on the calling thread, in key order
+      runtime::BlobWriter w;
+      w.PutDouble((*buffers)[k]);
+      return w.Take();
+    };
+    shard.restore = [k, buffers](const std::string& blob) {
+      runtime::BlobReader r(blob);
+      double v = 0.0;
+      if (!r.GetDouble(&v) || !r.AtEnd()) return false;
+      (*buffers)[k] = v;
+      return true;
+    };
+    shards.push_back(std::move(shard));
+  }
+  executor.Execute(std::move(shards), {}, &checkpoint);
+  result.works = works.load(std::memory_order_relaxed);
+  result.writable = checkpoint.writable();
+  return result;
+}
+
 TEST(StudyExecutor, CheckpointResumeSkipsWorkAndMatchesUninterrupted) {
   const std::string path = testing::TempDir() + "manic_ckpt_exec.log";
   std::remove(path.c_str());
+  const CheckpointedRun first = RunCheckpointed(path, nullptr);
+  const CheckpointedRun resumed = RunCheckpointed(path, nullptr);
+  EXPECT_EQ(first.works, 4);
+  EXPECT_EQ(resumed.works, 0);  // every shard restored from the log
+  ASSERT_EQ(first.merged.size(), 4u);
+  EXPECT_EQ(first.merged, resumed.merged);  // bit-identical fold either way
+  std::remove(path.c_str());
+}
 
-  const auto run = [&](std::vector<double>* merged, int* works_run) {
-    runtime::ThreadPool pool(2);
-    runtime::StudyExecutor executor(pool);
-    runtime::CheckpointLog checkpoint(path);
-    std::vector<runtime::StudyExecutor::Shard> shards;
-    auto buffers = std::make_shared<std::vector<double>>(4, 0.0);
-    std::atomic<int> works{0};
-    for (std::uint64_t k = 0; k < 4; ++k) {
-      runtime::StudyExecutor::Shard shard;
-      shard.key = k;
-      shard.work = [k, buffers, &works] {
-        (*buffers)[k] = static_cast<double>(k) * 1.25 + 0.1;
-        works.fetch_add(1, std::memory_order_relaxed);
-      };
-      shard.merge = [k, buffers, merged] { merged->push_back((*buffers)[k]); };
-      shard.save = [k, buffers] {
-        runtime::BlobWriter w;
-        w.PutDouble((*buffers)[k]);
-        return w.Take();
-      };
-      shard.restore = [k, buffers](const std::string& blob) {
-        runtime::BlobReader r(blob);
-        double v = 0.0;
-        if (!r.GetDouble(&v) || !r.AtEnd()) return false;
-        (*buffers)[k] = v;
-        return true;
-      };
-      shards.push_back(std::move(shard));
-    }
-    executor.Execute(std::move(shards), {}, &checkpoint);
-    *works_run = works.load(std::memory_order_relaxed);
-  };
+// A full disk refuses the third shard's record: the executor stops saving
+// (the fourth shard is never serialized), the study's output is unchanged,
+// and a resume recomputes only the two shards that did not reach the log.
+TEST(StudyExecutor, RefusedCheckpointAppendStopsSavingOnly) {
+  const std::string path = testing::TempDir() + "manic_ckpt_enospc.log";
+  std::remove(path.c_str());
+  runtime::ScriptedIoFaults::Config faults;
+  faults.enospc_at_op = 3;  // op 0 stamps the magic; ops 1-2 save keys 0-1
+  const runtime::ScriptedIoFaults full_disk(faults);
+  const CheckpointedRun faulted = RunCheckpointed(path, &full_disk);
+  EXPECT_EQ(faulted.works, 4);
+  EXPECT_EQ(faulted.saves, 3);
+  EXPECT_FALSE(faulted.writable);
+  EXPECT_EQ(runtime::CheckpointLog(path).size(), 2u);
 
-  std::vector<double> first, resumed;
-  int works_first = -1, works_resumed = -1;
-  run(&first, &works_first);
-  run(&resumed, &works_resumed);
-  EXPECT_EQ(works_first, 4);
-  EXPECT_EQ(works_resumed, 0);  // every shard restored from the log
-  ASSERT_EQ(first.size(), 4u);
-  EXPECT_EQ(first, resumed);  // bit-identical fold either way
+  const CheckpointedRun resumed = RunCheckpointed(path, nullptr);
+  EXPECT_EQ(resumed.works, 2);
+  EXPECT_EQ(resumed.saves, 2);
+  EXPECT_TRUE(resumed.writable);
+  ASSERT_EQ(faulted.merged.size(), 4u);
+  EXPECT_EQ(resumed.merged, faulted.merged);
+  EXPECT_EQ(RunCheckpointed(path, nullptr).works, 0);
   std::remove(path.c_str());
 }
 

@@ -1,22 +1,26 @@
 // Crash-safety tests for the serving plane's WAL (src/serve/wal) and its
 // integration into CongestionService: round-trip and clean-shutdown
-// markers, torn-tail truncation at EVERY byte boundary of the last record
-// (mid-header and mid-payload), recovery idempotence (a crash during
-// recovery loses nothing — the double-crash case), ENOSPC-mid-append
-// degradation and the shed contract, watermark-driven deduplication, and
-// the deterministic I/O fault script itself.
+// markers, segment rotation, the pinned segment bytes, damage that is not a
+// torn tail, ENOSPC-mid-append degradation and the shed contract,
+// watermark-driven deduplication, the WAL as the recording of a run
+// (recorded at 1 shard, recovered at 4), hostile timestamps and markers, and
+// the deterministic I/O fault script itself. The torn-tail, double-crash
+// and short-write cases of the underlying framed log live in
+// tests/test_framed_log.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "runtime/clock.h"
 #include "runtime/io_fault.h"
 #include "serve/codec.h"
-#include "serve/replay.h"
 #include "serve/sample.h"
 #include "serve/service.h"
 #include "serve/session.h"
@@ -69,6 +73,22 @@ infer::AutocorrConfig SmallConfig() {
   return config;
 }
 
+// `days` days x `links` links of far and near samples, day-major, as a
+// collector would emit them.
+std::vector<Sample> DayMajorStream(std::int64_t days, topo::LinkId links) {
+  std::vector<Sample> stream;
+  for (std::int64_t day = 0; day < days; ++day) {
+    for (topo::LinkId link = 1; link <= links; ++link) {
+      for (int slot = 0; slot < 24; ++slot) {
+        stream.push_back(MakeSample(day, slot, link));
+        stream.push_back(
+            MakeSample(day, slot, link, 1, SampleKind::kNearRtt));
+      }
+    }
+  }
+  return stream;
+}
+
 ServiceConfig WalServiceConfig(const std::string& wal_dir, int shards = 1) {
   ServiceConfig config;
   config.shards = shards;
@@ -76,14 +96,6 @@ ServiceConfig WalServiceConfig(const std::string& wal_dir, int shards = 1) {
   config.wal_dir = wal_dir;
   config.wal_fsync = WalFsync::kNone;  // crash model = process kill
   return config;
-}
-
-// Reads the whole single segment file of a one-incarnation WAL.
-std::string SegmentBytes(const std::string& dir) {
-  std::ifstream in(dir + "/wal-000001.seg", std::ios::binary);
-  EXPECT_TRUE(in.good());
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
 }
 
 // ------------------------------------------------------------- round trip
@@ -175,89 +187,57 @@ TEST(WalWriter, SegmentsRotateAndReplayInOrder) {
   EXPECT_EQ(closes, (std::vector<std::int64_t>{1, 2, 3, 4, 5}));
 }
 
-// ------------------------------------------------- torn-tail truncation
+// ------------------------------------------------------------ format pin
 
-// The tentpole truncation test: cut the log at EVERY byte boundary inside
-// the final record — through the 5-byte frame header and through the
-// payload — and require recovery to replay exactly the intact prefix and
-// chop the torn tail off the file.
-TEST(WalRecovery, TruncationAtEveryByteOfLastRecord) {
-  WalDir source("sweep_src");
-  const std::vector<Sample> keep = SmallBatch(3, 5);
-  const std::vector<Sample> torn = SmallBatch(4, 6);
-  {
-    WalWriter writer;
-    WalConfig config;
-    config.dir = source.path;
-    ASSERT_EQ(writer.Open(config), WalStatus::kOk);
-    ASSERT_EQ(writer.AppendSamples(keep), WalStatus::kOk);
-    ASSERT_EQ(writer.AppendSamples(torn), WalStatus::kOk);
-    writer.Abandon();
+// 64-bit FNV-1a (the StudyGolden digest), so a whole directory pins to one
+// constant.
+std::uint64_t Fnv1a(std::uint64_t h, const std::string& bytes) {
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
   }
-  const std::string full = SegmentBytes(source.path);
-  std::string first_record_frame;
-  EncodeSubmitBatchTo(keep, &first_record_frame);
-  const std::size_t intact_end = 10 /* magic */ + first_record_frame.size();
-  ASSERT_LT(intact_end, full.size());
-
-  for (std::size_t cut = intact_end; cut < full.size(); ++cut) {
-    WalDir dir("sweep_cut");
-    fs::create_directories(dir.path);
-    {
-      std::ofstream out(dir.path + "/wal-000001.seg", std::ios::binary);
-      out.write(full.data(), static_cast<std::streamsize>(cut));
-    }
-    std::uint64_t samples = 0;
-    const WalRecoverStats stats = ReadWal(
-        dir.path,
-        [&](std::span<const Sample> batch) { samples += batch.size(); },
-        [](std::int64_t) { FAIL() << "no closes were logged"; });
-    ASSERT_TRUE(stats.ok) << "cut at byte " << cut << ": " << stats.error;
-    EXPECT_EQ(stats.records, 1u) << "cut at byte " << cut;
-    EXPECT_EQ(samples, keep.size()) << "cut at byte " << cut;
-    EXPECT_EQ(stats.truncated_bytes, cut - intact_end) << "cut " << cut;
-    // The torn tail is gone from the file itself, not just the parse.
-    EXPECT_EQ(fs::file_size(dir.path + "/wal-000001.seg"), intact_end);
-  }
+  return h;
 }
 
-// A crash during recovery must lose nothing: recovery's only write is the
-// torn-tail truncation, after which a second recovery replays the identical
-// record stream — the double-crash scenario.
-TEST(WalRecovery, RecoveryIsIdempotentAfterTornTail) {
-  WalDir dir("double_crash");
-  const std::vector<Sample> keep = SmallBatch(2, 9);
+// Pins the on-disk bytes of a small fixed WAL: odd-sized batches, two day
+// closes, a rotation and the clean marker. Any change to the segment magic,
+// the record framing or the codec frames inside moves the digest — a
+// deliberate format bump updates it, nothing else may.
+TEST(WalFormat, SegmentBytesArePinned) {
+  WalDir dir("golden");
   {
-    WalWriter writer;
     WalConfig config;
     config.dir = dir.path;
+    config.segment_bytes = 300;
+    WalWriter writer;
     ASSERT_EQ(writer.Open(config), WalStatus::kOk);
-    ASSERT_EQ(writer.AppendSamples(keep), WalStatus::kOk);
-    ASSERT_EQ(writer.AppendClose(2), WalStatus::kOk);
-    writer.Abandon();
+    ASSERT_EQ(writer.AppendSamples(SmallBatch(3, 7)), WalStatus::kOk);
+    ASSERT_EQ(writer.AppendSamples(SmallBatch(3, 5)), WalStatus::kOk);
+    ASSERT_EQ(writer.AppendClose(3), WalStatus::kOk);
+    ASSERT_EQ(writer.AppendSamples(SmallBatch(4, 13)), WalStatus::kOk);
+    ASSERT_EQ(writer.AppendClose(4), WalStatus::kOk);
+    ASSERT_EQ(writer.AppendSamples(SmallBatch(5, 1)), WalStatus::kOk);
+    ASSERT_EQ(writer.CloseClean(), WalStatus::kOk);
+    ASSERT_EQ(writer.segments_opened(), 2u);
   }
-  // Tear 7 bytes of a half-written record onto the tail.
-  {
-    std::ofstream out(dir.path + "/wal-000001.seg",
-                      std::ios::binary | std::ios::app);
-    out.write("\x40\x00\x00\x00\x03\x09\x00", 7);
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir.path)) {
+    names.push_back(entry.path().filename().string());
   }
-  std::uint64_t first_samples = 0, second_samples = 0;
-  const WalRecoverStats first = ReadWal(
-      dir.path,
-      [&](std::span<const Sample> b) { first_samples += b.size(); },
-      [](std::int64_t) {});
-  ASSERT_TRUE(first.ok) << first.error;
-  EXPECT_EQ(first.truncated_bytes, 7u);
-  const WalRecoverStats second = ReadWal(
-      dir.path,
-      [&](std::span<const Sample> b) { second_samples += b.size(); },
-      [](std::int64_t) {});
-  ASSERT_TRUE(second.ok) << second.error;
-  EXPECT_EQ(second.truncated_bytes, 0u);  // nothing left to chop
-  EXPECT_EQ(second.records, first.records);
-  EXPECT_EQ(second_samples, first_samples);
+  std::sort(names.begin(), names.end());
+  ASSERT_EQ(names, (std::vector<std::string>{"wal-000001.seg",
+                                             "wal-000002.seg", "wal-clean"}));
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (const std::string& name : names) {
+    std::ifstream in(dir.path + "/" + name, std::ios::binary);
+    digest = Fnv1a(digest, name);
+    digest = Fnv1a(digest, std::string((std::istreambuf_iterator<char>(in)),
+                                       std::istreambuf_iterator<char>()));
+  }
+  EXPECT_EQ(digest, 0xa3fc2092daa5f513ULL);
 }
+
+// ------------------------------------------------- damage vs. a torn tail
 
 TEST(WalRecovery, RejectsDamageThatIsNotATornTail) {
   // Torn bytes in a NON-final segment = damage, not interruption.
@@ -286,6 +266,40 @@ TEST(WalRecovery, RejectsDamageThatIsNotATornTail) {
   EXPECT_FALSE(stats.ok);
   EXPECT_NE(stats.error.find("torn record inside non-final"),
             std::string::npos);
+}
+
+// A record torn mid-body at the end of the newest segment is an interrupted
+// append: recovery chops it off that file, so a second recovery finds
+// nothing to chop and replays the same records.
+TEST(WalRecovery, TornTailOfFinalSegmentIsChoppedOffTheFile) {
+  WalDir dir("torn_final");
+  WalConfig config;
+  config.dir = dir.path;
+  for (const std::int64_t day : {1, 2}) {
+    WalWriter writer;  // one incarnation, one segment, per day
+    ASSERT_EQ(writer.Open(config), WalStatus::kOk);
+    ASSERT_EQ(writer.AppendSamples(SmallBatch(day, 2)), WalStatus::kOk);
+    writer.Abandon();
+  }
+  const std::string last = dir.path + "/wal-000002.seg";
+  const std::uintmax_t whole_size = fs::file_size(last);
+  {
+    const std::vector<Sample> batch = SmallBatch(3, 2);
+    std::ofstream out(last, std::ios::binary | std::ios::app);
+    out << EncodeSubmitBatch(batch).substr(0, 7);  // header, type, 2 bytes
+  }
+  for (const std::uint64_t torn : {7u, 0u}) {
+    std::uint64_t samples = 0;
+    const WalRecoverStats stats = ReadWal(
+        dir.path,
+        [&](std::span<const Sample> batch) { samples += batch.size(); },
+        [](std::int64_t) {});
+    ASSERT_TRUE(stats.ok) << stats.error;
+    EXPECT_EQ(stats.segments, 2u);
+    EXPECT_EQ(samples, 4u);
+    EXPECT_EQ(stats.truncated_bytes, torn);
+    EXPECT_EQ(fs::file_size(last), whole_size);
+  }
 }
 
 TEST(WalRecovery, ForeignFrameTypeIsAnError) {
@@ -333,16 +347,7 @@ TEST(WalRecovery, ShortFinalSegmentIsRemovedNotFatal) {
 // CloseWalClean) + recovery + resume-from-watermark: byte-identical logs,
 // at more than one shard count.
 TEST(ServiceWal, CrashRecoveryMatchesUncrashedRunByteForByte) {
-  std::vector<Sample> stream;
-  for (std::int64_t day = 0; day < 9; ++day) {
-    for (topo::LinkId link = 1; link <= 4; ++link) {
-      for (int slot = 0; slot < 24; ++slot) {
-        stream.push_back(MakeSample(day, slot, link));
-        stream.push_back(
-            MakeSample(day, slot, link, 1, SampleKind::kNearRtt));
-      }
-    }
-  }
+  const std::vector<Sample> stream = DayMajorStream(9, 4);
   for (const int shards : {1, 4}) {
     // Reference: no WAL, one uninterrupted pass.
     ServiceConfig plain;
@@ -495,6 +500,136 @@ TEST(ServiceWal, SessionKeepsConnectionWhenDegraded) {
   service.Stop();
 }
 
+// A WAL directory is the recording of a run: written by a 1-shard service,
+// copied, and recovered into a fresh 4-shard one, it replays the stream
+// into the live run's verdict log byte for byte.
+TEST(CongestionService, RecordedStreamReplaysIdentically) {
+  const std::vector<Sample> stream = DayMajorStream(10, 3);
+  WalDir recording("recording");
+  WalDir copy("recording_copy");
+  std::string live_log;
+  {
+    CongestionService live(WalServiceConfig(recording.path, 1));
+    ASSERT_TRUE(live.RecoverFromWal().ok);
+    for (std::size_t i = 0; i < stream.size(); i += 257) {
+      const std::size_t n = std::min<std::size_t>(257, stream.size() - i);
+      ASSERT_EQ(live.SubmitBatch(std::span<const Sample>(stream.data() + i, n))
+                    .accepted,
+                n);
+    }
+    live.FinishStream();
+    live_log = live.VerdictLogText();
+    ASSERT_EQ(live.CloseWalClean(), WalStatus::kOk);
+    live.Stop();
+  }
+  ASSERT_FALSE(live_log.empty());
+  fs::copy(recording.path, copy.path, fs::copy_options::recursive);
+
+  CongestionService replayed(WalServiceConfig(copy.path, 4));
+  const WalRecoverStats stats = replayed.RecoverFromWal();
+  ASSERT_TRUE(stats.ok) << stats.error;
+  EXPECT_TRUE(stats.clean_shutdown);
+  EXPECT_EQ(stats.samples, stream.size());
+  EXPECT_EQ(replayed.VerdictLogText(), live_log);
+  replayed.Stop();
+}
+
+// A segment written by hand (the WAL is only as trusted as the disk): a
+// sample at t = INT64_MAX - 1 is rejected at admission as it would be live,
+// and a day-close marker out there fails recovery instead of walking
+// ~1e14 days. Either way recovery returns promptly with no verdicts.
+TEST(WalRecovery, OutOfBoundsTimestampsRecoverPromptly) {
+  const Sample hostile = {std::numeric_limits<TimeSec>::max() - 1, 1, 1,
+                          SampleKind::kFarRtt, 1.0f};
+  for (const bool with_marker : {false, true}) {
+    WalDir dir("oob");
+    fs::create_directories(dir.path);
+    {
+      std::ofstream out(dir.path + "/wal-000001.seg", std::ios::binary);
+      out << "MANICWAL1\n" << EncodeSubmitBatch({&hostile, 1});
+      if (with_marker) out << EncodeFlushAck(stats::DayOf(hostile.t));
+    }
+    CongestionService service(WalServiceConfig(dir.path));
+    const WalRecoverStats stats = service.RecoverFromWal();
+    EXPECT_EQ(stats.ok, !with_marker) << stats.error;
+    EXPECT_EQ(stats.samples, 1u);
+    EXPECT_EQ(service.Stats().samples_rejected, 1u);
+    EXPECT_EQ(service.Stats().verdicts, 0u);
+    EXPECT_EQ(service.LastClosedDay(), kNoDayClosed);
+    service.Stop();
+  }
+}
+
+// PollClock can close days before any sample arrives; recovery replays that
+// first marker by seeding the close sequence the same way, so the recovered
+// service matches the live one.
+TEST(ServiceWal, ClockDrivenFirstCloseRecovers) {
+  WalDir dir("clock_first");
+  runtime::ManualClock clock(2 * stats::kSecPerDay + 7);
+  ServiceConfig config = WalServiceConfig(dir.path);
+  config.clock = &clock;
+  std::string want;
+  WatermarkInfo want_mark;
+  {
+    CongestionService live(config);
+    ASSERT_TRUE(live.RecoverFromWal().ok);
+    live.PollClock();  // seeds the sequence: day 1 counts as closed
+    clock.Advance(2 * stats::kSecPerDay);
+    live.PollClock();  // closes days 2 and 3: two logged markers
+    std::vector<Sample> stream = DayMajorStream(9, 2);
+    std::erase_if(stream, [](const Sample& s) {
+      return s.t < 4 * stats::kSecPerDay;
+    });
+    clock.Advance(6 * stats::kSecPerDay);
+    ASSERT_EQ(live.SubmitBatch(stream).accepted, stream.size());
+    want = live.VerdictLogText();
+    want_mark = live.Watermark();
+    live.Stop();  // no CloseWalClean: a crash
+  }
+  CongestionService recovered(config);
+  const WalRecoverStats stats = recovered.RecoverFromWal();
+  ASSERT_TRUE(stats.ok) << stats.error;
+  EXPECT_EQ(recovered.Watermark(), want_mark);
+  EXPECT_EQ(recovered.VerdictLogText(), want);
+  recovered.Stop();
+}
+
+// The first sample can land days past a clock-seeded close: live logs the
+// batch, then markers for the days in between, but replay seeds the sequence
+// from that sample, so those markers name days already closed and are
+// no-ops. The recovered service still matches the live one.
+TEST(ServiceWal, SampleAfterClockSeededCloseRecovers) {
+  WalDir dir("clock_seed_sample");
+  runtime::ManualClock clock(2 * stats::kSecPerDay + 7);
+  ServiceConfig config = WalServiceConfig(dir.path);
+  config.clock = &clock;
+  std::string want;
+  WatermarkInfo want_mark;
+  {
+    CongestionService live(config);
+    ASSERT_TRUE(live.RecoverFromWal().ok);
+    live.PollClock();  // seeds the sequence: day 1 counts as closed
+    std::vector<Sample> stream = DayMajorStream(9, 2);
+    std::erase_if(stream, [](const Sample& s) {
+      return s.t < 4 * stats::kSecPerDay;
+    });
+    clock.Advance(8 * stats::kSecPerDay);
+    // Logs the first day-4 samples, then markers 2 and 3, and so on.
+    ASSERT_EQ(live.SubmitBatch(stream).accepted, stream.size());
+    ASSERT_EQ(live.LastClosedDay(), 7);
+    want = live.VerdictLogText();
+    want_mark = live.Watermark();
+    live.Stop();  // no CloseWalClean: a crash
+  }
+  CongestionService recovered(config);
+  const WalRecoverStats stats = recovered.RecoverFromWal();
+  ASSERT_TRUE(stats.ok) << stats.error;
+  EXPECT_EQ(stats.closes, 6u);
+  EXPECT_EQ(recovered.Watermark(), want_mark);
+  EXPECT_EQ(recovered.VerdictLogText(), want);
+  recovered.Stop();
+}
+
 // -------------------------------------------------------------- fault hook
 
 TEST(ScriptedIoFaults, IsDeterministicAndSeedSensitive) {
@@ -528,37 +663,6 @@ TEST(ScriptedIoFaults, IsDeterministicAndSeedSensitive) {
   EXPECT_TRUE(any_divergence);
   EXPECT_TRUE(a.FsyncOkAt(0));
   EXPECT_EQ(a.CrashBytesAt(0), -1);
-}
-
-// Short writes and EINTR are absorbed by the write loop: the log replays
-// complete and bit-exact despite a hostile syscall layer.
-TEST(ScriptedIoFaults, ShortWritesAndEintrDoNotCorruptTheLog) {
-  WalDir dir("hostile");
-  runtime::ScriptedIoFaults::Config fault_config;
-  fault_config.seed = 7;
-  fault_config.short_write_prob = 0.5;
-  fault_config.eintr_prob = 0.3;
-  runtime::ScriptedIoFaults faults(fault_config);
-  WalConfig config;
-  config.dir = dir.path;
-  config.fault_hook = &faults;
-  WalWriter writer;
-  ASSERT_EQ(writer.Open(config), WalStatus::kOk);
-  for (std::int64_t day = 1; day <= 4; ++day) {
-    ASSERT_EQ(writer.AppendSamples(SmallBatch(day, 11)), WalStatus::kOk);
-    ASSERT_EQ(writer.AppendClose(day), WalStatus::kOk);
-  }
-  writer.Abandon();
-  std::uint64_t samples = 0;
-  std::vector<std::int64_t> closes;
-  const WalRecoverStats stats = ReadWal(
-      dir.path,
-      [&](std::span<const Sample> b) { samples += b.size(); },
-      [&](std::int64_t day) { closes.push_back(day); });
-  ASSERT_TRUE(stats.ok) << stats.error;
-  EXPECT_EQ(samples, 44u);
-  EXPECT_EQ(closes, (std::vector<std::int64_t>{1, 2, 3, 4}));
-  EXPECT_EQ(stats.truncated_bytes, 0u);
 }
 
 TEST(ScriptedIoFaults, FsyncFailureSurfacesAsIoError) {
@@ -614,30 +718,6 @@ TEST(WalCodec, WatermarkRoundTripsAndRejectsJunk) {
   std::string bad = payload;
   bad.back() = char(0x7F);
   EXPECT_FALSE(DecodeWatermark(bad, &decoded));
-}
-
-// ------------------------------------------------------------- replay tool
-
-TEST(ReplayTornTail, TruncatedFinalFrameIsSkippedNotFatal) {
-  const std::string path = ::testing::TempDir() + "/manic_wal_replay.bin";
-  const std::vector<Sample> batch = SmallBatch(1, 4);
-  {
-    std::ofstream out(path, std::ios::binary);
-    const std::string frame = EncodeSubmitBatch(batch);
-    out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-    out.write(frame.data(), 9);  // torn second frame: header + 4 bytes
-  }
-  ServiceConfig config;
-  config.engine.autocorr = SmallConfig();
-  CongestionService service(config);
-  service.Start();
-  const ReplayStats stats = ReplayFile(&service, path);
-  EXPECT_TRUE(stats.ok) << stats.error;
-  EXPECT_EQ(stats.frames, 1u);
-  EXPECT_EQ(stats.samples, batch.size());
-  EXPECT_EQ(stats.truncated_tail_bytes, 9u);
-  service.Stop();
-  std::remove(path.c_str());
 }
 
 }  // namespace
