@@ -36,10 +36,12 @@
 #      with the graph passes active against tools/manic_lint/layers.txt,
 #      the semantic passes (units dataflow against tools/manic_lint/units.txt
 #      plus the determinism taint pass), the trust-boundary passes
-#      (taint + must-check + hot-path contracts against
-#      tools/manic_lint/trust.txt), and the concurrency passes (atomic
-#      memory-order contracts, thread-role ownership, lock-order deadlock
-#      detection against tools/manic_lint/concurrency.txt) (report lands in
+#      (taint + hot-path contracts against tools/manic_lint/trust.txt), the
+#      concurrency passes (atomic memory-order contracts, thread-role
+#      ownership, lock-order deadlock detection against
+#      tools/manic_lint/concurrency.txt), and the layout passes (false
+#      sharing, scale-loop allocation against tools/manic_lint/layout.txt)
+#      (report lands in
 #      build/check/lint.json; any error-severity finding fails the sweep,
 #      warning-only runs pass); the curated .clang-tidy baseline, which skips with a
 #      warning when clang-tidy is not installed; and — when clang++ is on

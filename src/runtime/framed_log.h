@@ -19,14 +19,23 @@
 namespace manic::runtime {
 
 // The fixed prefix of one on-disk record: a little-endian u32 count of the
-// record bytes that follow. Pinned in tools/manic_lint/layout.txt (wire-abi):
-// every WAL segment and checkpoint file is framed by it, so widening it
-// would orphan all of them; the pin forces a deliberate format bump instead.
+// record bytes that follow. Every WAL segment and checkpoint file is framed
+// by it, so widening it would orphan all of them; the pins below force a
+// deliberate format bump instead.
 struct FramedRecordHeader {
   std::uint32_t length = 0;
 
   static constexpr std::size_t kEncodedSize = 4;
 };
+static_assert([] {
+  [[maybe_unused]] auto [length] = FramedRecordHeader{};
+  return true;
+}());
+static_assert(sizeof(FramedRecordHeader) == FramedRecordHeader::kEncodedSize &&
+                  offsetof(FramedRecordHeader, length) == 0 &&
+                  sizeof(FramedRecordHeader::length) ==
+                      FramedRecordHeader::kEncodedSize,
+              "runtime::FramedRecordHeader drifted from its 4-byte encoding");
 
 // Appends the header of a `length`-byte record to `out`.
 void PutRecordHeader(std::uint32_t length, std::string* out);

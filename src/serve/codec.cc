@@ -62,7 +62,8 @@ bool ValidMsgType(std::uint8_t raw) {
   return false;
 }
 
-// Bytes of one encoded Sample (pinned: `wire Sample` in layout.txt).
+// Bytes of one encoded Sample (the wire pin under serve::Sample in
+// sample.h; Codec.WireRecordLengthsArePinned checks the encoder).
 constexpr std::size_t kWireSampleBytes = 21;
 
 // Writes `word` little-endian at *dst and advances the cursor in place.

@@ -13,6 +13,7 @@
 // round-trips bit-exactly — the replay contract extends to recorded streams.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -68,6 +69,23 @@ struct WatermarkInfo {
 
   friend bool operator==(const WatermarkInfo&, const WatermarkInfo&) = default;
 };
+// Wire pin: a kWatermark payload is 25 bytes, samples_consumed:8
+// watermark_t:8 last_closed_day:8 flags:1 (degraded|saw_sample).
+static_assert([] {
+  [[maybe_unused]] auto [samples_consumed, watermark_t, last_closed_day,
+                         degraded, saw_sample] = WatermarkInfo{};
+  return true;
+}());
+static_assert(offsetof(WatermarkInfo, samples_consumed) == 0 &&
+                  sizeof(WatermarkInfo::samples_consumed) == 8 &&
+                  offsetof(WatermarkInfo, watermark_t) == 8 &&
+                  sizeof(WatermarkInfo::watermark_t) == 8 &&
+                  offsetof(WatermarkInfo, last_closed_day) == 16 &&
+                  sizeof(WatermarkInfo::last_closed_day) == 8 &&
+                  offsetof(WatermarkInfo, degraded) == 24 &&
+                  offsetof(WatermarkInfo, saw_sample) == 25,
+              "serve::WatermarkInfo fields drifted from the wire encode "
+              "order");
 
 // Aggregate counters the query plane reports (kStats).
 struct ServiceStats {
@@ -83,6 +101,28 @@ struct ServiceStats {
 
   friend bool operator==(const ServiceStats&, const ServiceStats&) = default;
 };
+// Wire pin: a kStats payload is 68 bytes, every field in declaration order
+// at its own width (shards is the one u32).
+static_assert([] {
+  [[maybe_unused]] auto [samples, verdicts, links, last_closed_day,
+                         days_closed, shards, raw_points, samples_late,
+                         samples_rejected] = ServiceStats{};
+  return true;
+}());
+static_assert(sizeof(ServiceStats) == 72 &&
+                  offsetof(ServiceStats, samples) == 0 &&
+                  offsetof(ServiceStats, verdicts) == 8 &&
+                  offsetof(ServiceStats, links) == 16 &&
+                  offsetof(ServiceStats, last_closed_day) == 24 &&
+                  offsetof(ServiceStats, days_closed) == 32 &&
+                  offsetof(ServiceStats, shards) == 40 &&
+                  sizeof(ServiceStats::shards) == 4 &&
+                  offsetof(ServiceStats, raw_points) == 48 &&
+                  offsetof(ServiceStats, samples_late) == 56 &&
+                  offsetof(ServiceStats, samples_rejected) == 64 &&
+                  sizeof(ServiceStats::samples_rejected) == 8,
+              "serve::ServiceStats drifted from its 72-byte wire-pinned "
+              "layout");
 
 // ---- primitive byte streams -------------------------------------------------
 

@@ -41,7 +41,6 @@ struct IngestShardConfig {
 // The declaration order below narrates ownership (producer lane, worker
 // state, handshake lines); the 64 reorderable bytes are the price of the
 // alignas(64) isolation and IngestShard is per-shard, not per-element.
-// manic-lint: allow(layout: layout-pad)
 class IngestShard {
  public:
   explicit IngestShard(IngestShardConfig config = {});
@@ -87,6 +86,9 @@ class IngestShard {
     Sample sample;
     std::int64_t day = 0;
   };
+  // One per SPSC ring slot.
+  static_assert(sizeof(Msg) <= 40,
+                "serve::IngestShard::Msg is over its 40-byte budget");
 
   void WorkerLoop();
   void Store(const Sample& s);

@@ -7,6 +7,7 @@
 // retained in the raw store only.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "stats/timeseries.h"
@@ -33,5 +34,19 @@ struct Sample {
   SampleKind kind = SampleKind::kFarRtt;
   float value = 0.0f;  // unit depends on kind (see SampleKind)
 };
+// Wire pin: codec.cc encodes a Sample as 21 bytes, t:8 link:4 vp:4 kind:1
+// value:4, in declaration order. A new field fails the binding below even
+// when it fits in padding; encode it, bump the protocol, then re-pin.
+static_assert([] {
+  [[maybe_unused]] auto [t, link, vp, kind, value] = Sample{};
+  return true;
+}());
+static_assert(sizeof(Sample) == 24 &&
+                  offsetof(Sample, t) == 0 && sizeof(Sample::t) == 8 &&
+                  offsetof(Sample, link) == 8 && sizeof(Sample::link) == 4 &&
+                  offsetof(Sample, vp) == 12 && sizeof(Sample::vp) == 4 &&
+                  offsetof(Sample, kind) == 16 && sizeof(Sample::kind) == 1 &&
+                  offsetof(Sample, value) == 20 && sizeof(Sample::value) == 4,
+              "serve::Sample drifted from its 24-byte wire-pinned layout");
 
 }  // namespace manic::serve

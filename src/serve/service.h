@@ -53,7 +53,6 @@ inline constexpr std::int64_t kMaxAbsSampleDay = 1'000'000;
 // Declaration order groups by concern (admission, sharding, durability);
 // the 8 reorderable padding bytes are irrelevant in a one-per-process
 // config struct.
-// manic-lint: allow(layout: layout-pad)
 struct ServiceConfig {
   EngineConfig engine;
   std::size_t ring_capacity = 1 << 14;

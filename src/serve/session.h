@@ -37,7 +37,7 @@ class Session {
   // false when the connection must be dropped (corrupt framing, protocol
   // violation, version mismatch) — a final kError frame is appended first
   // so well-behaved clients learn why.
-  bool Consume(std::string_view bytes, std::string* out);
+  [[nodiscard]] bool Consume(std::string_view bytes, std::string* out);
 
   bool hello_done() const noexcept { return hello_done_; }
   std::uint64_t frames_handled() const noexcept { return frames_; }

@@ -6,6 +6,7 @@
 // fixed-precision and locale-free.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -26,6 +27,32 @@ struct VerdictRecord {
 
   friend bool operator==(const VerdictRecord&, const VerdictRecord&) = default;
 };
+// Wire pin: codec.cc encodes a VerdictRecord as 37 bytes, day:8 link:4
+// flags:1 (recurring|congested|quality_ok) fraction:8 contributors:4
+// asserting:4 far_coverage_frac:8, in declaration order.
+static_assert([] {
+  [[maybe_unused]] auto [day, link, recurring, congested, quality_ok,
+                         fraction, contributors, asserting,
+                         far_coverage_frac] = VerdictRecord{};
+  return true;
+}());
+static_assert(
+    sizeof(VerdictRecord) == 40 && offsetof(VerdictRecord, day) == 0 &&
+        sizeof(VerdictRecord::day) == 8 &&
+        offsetof(VerdictRecord, link) == 8 &&
+        sizeof(VerdictRecord::link) == 4 &&
+        offsetof(VerdictRecord, recurring) == 12 &&
+        offsetof(VerdictRecord, congested) == 13 &&
+        offsetof(VerdictRecord, quality_ok) == 14 &&
+        offsetof(VerdictRecord, fraction) == 16 &&
+        sizeof(VerdictRecord::fraction) == 8 &&
+        offsetof(VerdictRecord, contributors) == 24 &&
+        sizeof(VerdictRecord::contributors) == 4 &&
+        offsetof(VerdictRecord, asserting) == 28 &&
+        sizeof(VerdictRecord::asserting) == 4 &&
+        offsetof(VerdictRecord, far_coverage_frac) == 32 &&
+        sizeof(VerdictRecord::far_coverage_frac) == 8,
+    "serve::VerdictRecord drifted from its 40-byte wire-pinned layout");
 
 // Canonical single-line text form (newline-terminated), deterministic down
 // to the byte for identical records.

@@ -42,6 +42,9 @@ struct Interface {
   LinkId link = kInvalidId;
   Asn addr_owner = 0;  // AS (or IXP pseudo-AS) whose space the address is from
 };
+// One per interface: at ~1M interfaces every byte is a megabyte resident.
+static_assert(sizeof(Interface) <= 20,
+              "topo::Interface is over its 20-byte budget");
 
 // Per-router ICMP behaviour knobs, consumed by the simulator.
 struct IcmpProfile {
@@ -89,6 +92,7 @@ struct Link {
   double propagation_ms() const noexcept { return params.propagation_ms; }
   double capacity_gbps() const noexcept { return params.capacity_gbps; }
 };
+static_assert(sizeof(Link) <= 48, "topo::Link is over its 48-byte budget");
 
 struct AsInfo {
   Asn asn = 0;

@@ -1,15 +1,17 @@
-// Suppression fixture: the family-form allow on the line above the struct
-// silences its layout-budget finding while still landing in the audit
-// under both the rule and the `layout` family.
-#include <cstdint>
+// Suppression fixture: the family-form allow on the line above the
+// allocation silences its alloc-scale finding while still landing in the
+// audit under both the rule and the `layout` family.
+#include <memory>
+#include <vector>
 
 namespace demo {
 
-// manic-lint: allow(layout: layout-budget)
-struct Record {
-  std::int64_t t = 0;
-  double value = 0.0;
-  std::uint32_t id = 0;
-};
+void Build(const std::vector<int>& links,
+           std::vector<std::unique_ptr<int>>& out) {
+  for (const int link : links) {
+    // manic-lint: allow(layout: alloc-scale)
+    out.push_back(std::make_unique<int>(link));
+  }
+}
 
 }  // namespace demo

@@ -1,8 +1,8 @@
 // Tests for manic-lint's phase-4 trust-boundary passes (trust.h): the
-// `trust` taint pass (source->sink flows with sanitizer/guard laundering),
-// the `must-check` discard pass (status-like returns dropped in statement
-// position), and the `hot-path` contract pass (allocation/lock/syscall
-// identifiers inside marked regions). Fixtures live under
+// `trust` taint pass (source->sink flows with sanitizer/guard laundering)
+// and the `hot-path` contract pass (allocation/lock/syscall identifiers
+// inside marked regions). Discarded must-check results are compile errors
+// instead ([[nodiscard]] under -Werror=unused-result; tests/compile_fail/). Fixtures live under
 // tests/lint_fixtures/trust/; each is re-rooted at a synthetic logical path
 // because boundary scoping is path-driven. The final tests run the whole
 // analyzer over the real tree with the committed trust.txt and require a
@@ -48,9 +48,7 @@ TrustSpec FixtureSpec() {
       "boundary src/serve/\n"
       "sanitizer Clamp*\n"
       "guard kMax\n"
-      "time-const kSecPerDay\n"
-      "nodiscard Outcome\n"
-      "nodiscard-fn MustUse\n",
+      "time-const kSecPerDay\n",
       &error);
   EXPECT_TRUE(spec.loaded) << error;
   return spec;
@@ -82,15 +80,20 @@ TEST(TrustSpec, ParsesEveryDirective) {
   EXPECT_FALSE(spec.IsSanitizer("Normalize"));
   EXPECT_EQ(spec.guards.count("kMax"), 1u);
   EXPECT_EQ(spec.time_consts.count("kSecPerDay"), 1u);
-  EXPECT_EQ(spec.nodiscard_types.count("Outcome"), 1u);
-  EXPECT_EQ(spec.nodiscard_fns.count("MustUse"), 1u);
 }
 
 TEST(TrustSpec, MalformedLineReportsAndUnloads) {
-  std::string error;
-  const TrustSpec spec = ParseTrustSpec("bogus name\n", &error);
-  EXPECT_FALSE(spec.loaded);
-  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+  // The must-check directives are retired: [[nodiscard]] and
+  // -Werror=unused-result do that job, so a leftover line is an error.
+  for (const char* line :
+       {"bogus name\n", "nodiscard SubmitSummary\n",
+        "nodiscard-fn Consume\n"}) {
+    std::string error;
+    const TrustSpec spec = ParseTrustSpec(line, &error);
+    EXPECT_FALSE(spec.loaded) << line;
+    EXPECT_NE(error.find("line 1: unrecognized directive"), std::string::npos)
+        << error;
+  }
 }
 
 TEST(TrustSpec, MissingArgumentReports) {
@@ -189,45 +192,6 @@ TEST(TrustPass, SuppressionSilencesAndIsAudited) {
   table.Add(std::move(facts));
   std::vector<Finding> findings;
   RunTrustPass(table, spec, findings);
-  EXPECT_TRUE(findings.empty()) << RenderText(findings);
-}
-
-// ---- must-check pass over fixtures -----------------------------------------
-
-TEST(MustCheckPass, FlagsDiscardsButNotUsesOrVoidCasts) {
-  const TrustSpec spec = FixtureSpec();
-  const FactsTable table = TableOf("discard.cc", "src/serve/discard.cc");
-  std::vector<Finding> findings;
-  RunMustCheckPass(table, spec, findings);
-  for (const Finding& f : findings) {
-    EXPECT_EQ(f.rule, "must-check");
-    EXPECT_EQ(f.severity, Severity::kError);
-  }
-  // The bare Submit(1) (12) and the bare MustUse(4) (15); the (void) cast,
-  // the assignment, and the if-condition all pass.
-  ASSERT_EQ(LinesOf(findings), (std::vector<int>{12, 15}))
-      << RenderText(findings);
-  EXPECT_NE(findings[0].message.find("'Submit'"), std::string::npos)
-      << findings[0].message;
-  EXPECT_NE(findings[0].message.find("declared at"), std::string::npos)
-      << findings[0].message;
-}
-
-TEST(MustCheckPass, AmbiguousOverloadNameIsShielded) {
-  const TrustSpec spec = FixtureSpec();
-  const FactsTable table =
-      TableOf("discard_ambiguous.cc", "src/serve/discard_ambiguous.cc");
-  std::vector<Finding> findings;
-  RunMustCheckPass(table, spec, findings);
-  EXPECT_TRUE(findings.empty()) << RenderText(findings);
-}
-
-TEST(MustCheckPass, SuppressionSilences) {
-  const TrustSpec spec = FixtureSpec();
-  const FactsTable table =
-      TableOf("discard_allowed.cc", "src/serve/discard_allowed.cc");
-  std::vector<Finding> findings;
-  RunMustCheckPass(table, spec, findings);
   EXPECT_TRUE(findings.empty()) << RenderText(findings);
 }
 

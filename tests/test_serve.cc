@@ -21,6 +21,7 @@
 
 #include "infer/rolling.h"
 #include "runtime/clock.h"
+#include "runtime/framed_log.h"
 #include "serve/codec.h"
 #include "serve/daemon.h"
 #include "serve/engine.h"
@@ -183,6 +184,28 @@ TEST(Codec, VerdictsRoundTripIncludingFlags) {
   std::vector<VerdictRecord> out;
   ASSERT_TRUE(DecodeVerdicts(payload, &out));
   EXPECT_EQ(out, in);
+}
+
+TEST(Codec, WireRecordLengthsArePinned) {
+  // The encoded width of every pinned wire record, measured on the bytes
+  // the encoder writes, without the 5-byte frame header ([u32 length]
+  // [u8 type]). The static_asserts beside each struct pin its fields; this
+  // pins what the codec makes of them. Batches are measured as the growth
+  // from an empty batch, so the u32 count prefix drops out too.
+  constexpr std::size_t kFrameHeader = 5;
+  ASSERT_EQ(EncodeQueryStats().size(), kFrameHeader);  // empty payload
+  const std::vector<Sample> samples(3);
+  EXPECT_EQ(EncodeSubmitBatch(samples).size() - EncodeSubmitBatch({}).size(),
+            3 * 21u);
+  EXPECT_EQ(EncodeWatermark(WatermarkInfo{}).size() - kFrameHeader, 25u);
+  const std::vector<VerdictRecord> verdicts(3);
+  EXPECT_EQ(EncodeVerdicts(verdicts).size() - EncodeVerdicts({}).size(),
+            3 * 37u);
+  EXPECT_EQ(EncodeStats(ServiceStats{}).size() - kFrameHeader, 68u);
+  std::string header;
+  runtime::PutRecordHeader(21, &header);
+  EXPECT_EQ(header.size(), 4u);
+  EXPECT_EQ(header.size(), runtime::FramedRecordHeader::kEncodedSize);
 }
 
 TEST(Codec, QualityAndStatsRoundTrip) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <tuple>
 
@@ -28,11 +27,6 @@ bool ControlWord(std::string_view s) {
       "requires", "return",   "sizeof",    "static_assert",
       "switch",   "throw",    "typeid",    "using",    "while"};
   return kWords.count(s) > 0;
-}
-
-bool IsCallHead(const std::vector<Token>& toks, std::size_t i) {
-  return IsIdent(toks[i]) && i + 1 < toks.size() &&
-         IsPunct(toks[i + 1], "(") && !ControlWord(toks[i].text);
 }
 
 // `ident(` or `ident<...>(`: explicit template arguments are part of the
@@ -129,32 +123,22 @@ void SortUnique(std::vector<Finding>& found, std::vector<Finding>& out) {
 
 // ---- struct scanning -------------------------------------------------------
 
+// One instance field: what the false-sharing check needs to know about it.
 struct FieldDecl {
   std::string name;
-  std::vector<std::string> outer;  // type idents outside template angles
-  std::vector<std::string> args;   // type idents inside template angles
   bool is_atomic = false;
-  bool is_indirect = false;  // pointer or reference: size 8, align 8
-  bool parse_ok = true;      // false: bitfield / non-literal array bound
-  long long array_count = 1;
   int alignas_bytes = 0;  // alignas(N) on the field, 0 = none
   int line = 0;
 };
 
 struct StructDecl {
   std::string name;
-  std::string enclosing;  // enclosing class name ("" = top level)
-  bool is_union = false;
   const TuFacts* file = nullptr;
-  int line = 0;
   std::vector<FieldDecl> fields;
 };
 
 struct ClassSpan {
   std::string name;
-  std::string enclosing;
-  bool is_union = false;
-  int line = 0;
   std::size_t begin = 0;  // '{'
   std::size_t end = 0;    // matching '}'
 };
@@ -194,21 +178,7 @@ std::vector<ClassSpan> ScanClassSpans(const std::vector<Token>& toks) {
       ++j;
     }
     if (j >= toks.size()) continue;
-    spans.push_back({name, "", t.text == "union", toks[i].line, j,
-                     MatchClose(toks, j)});
-  }
-  // Innermost spans come later after this sort, so the enclosing class of a
-  // span is the last earlier span strictly containing it.
-  std::sort(spans.begin(), spans.end(),
-            [](const ClassSpan& a, const ClassSpan& b) {
-              return std::tie(a.begin, b.end) < std::tie(b.begin, a.end);
-            });
-  for (std::size_t s = 0; s < spans.size(); ++s) {
-    for (std::size_t p = 0; p < s; ++p) {
-      if (spans[p].begin < spans[s].begin && spans[s].end < spans[p].end) {
-        spans[s].enclosing = spans[p].name;
-      }
-    }
+    spans.push_back({name, j, MatchClose(toks, j)});
   }
   return spans;
 }
@@ -226,9 +196,7 @@ bool SkippableMemberHead(std::string_view s) {
 
 // Parses the member statements of one class body into field declarations.
 // Statements that are not instance fields (methods, nested types, friends,
-// using-aliases, static members) are skipped; statements a token scanner
-// cannot size (bitfields, non-literal array bounds) produce a field with
-// parse_ok = false so budget checks can name them.
+// using-aliases, static members) are skipped.
 std::vector<FieldDecl> ParseFields(const std::vector<Token>& toks,
                                    std::size_t body_begin,
                                    std::size_t body_end) {
@@ -336,40 +304,17 @@ std::vector<FieldDecl> ParseFields(const std::vector<Token>& toks,
     }
     chunks.emplace_back(chunk_begin, stmt_end);
 
-    FieldDecl base;  // type information shared by every declarator
-    base.line = toks[stmt_begin].line;
-    bool usable = true;
-    for (std::size_t c = 0; c < chunks.size() && usable; ++c) {
-      const std::size_t cb = chunks[c].first;
-      const std::size_t ce_full = chunks[c].second;
-      // The declarator ends at its own initializer ('=' or a brace-init).
-      std::size_t ce = ce_full;
-      for (std::size_t k = cb; k < ce_full; ++k) {
-        if (IsPunct(toks[k], "<")) {
-          const std::size_t after = SkipAngles(toks, k);
-          if (after != k) {
-            k = after - 1;
-            continue;
-          }
-        }
-        if (IsPunct(toks[k], "(")) {
-          k = MatchClose(toks, k);
-          continue;
-        }
-        if (IsPunct(toks[k], "=") || IsPunct(toks[k], "{")) {
-          ce = k;
-          break;
-        }
-      }
+    FieldDecl base;  // the atomic-ness and alignas every declarator shares
+    for (std::size_t c = 0; c < chunks.size(); ++c) {
+      const auto [cb, ce] = chunks[c];
       FieldDecl field = base;
-      if (c > 0) field.line = toks[cb].line;
-      // Walk the declarator: alignas, cv/mutable noise, type idents,
-      // template arguments, pointer/reference markers, the declared name,
-      // and an array suffix.
-      std::vector<std::string> outer;
-      bool bitfield = false;
+      field.line = toks[cb].line;
+      // Walk the declarator up to its initializer ('=' or a brace-init):
+      // alignas, cv/mutable noise, type idents and the declared name.
+      std::vector<std::string> idents;
       for (std::size_t k = cb; k < ce; ++k) {
         const Token& t = toks[k];
+        if (IsPunct(t, "=") || IsPunct(t, "{")) break;
         if (IsIdent(t) && t.text == "alignas" && k + 1 < ce &&
             IsPunct(toks[k + 1], "(")) {
           const std::size_t close = MatchClose(toks, k + 1);
@@ -383,75 +328,28 @@ std::vector<FieldDecl> ParseFields(const std::vector<Token>& toks,
         }
         if (IsPunct(t, "<")) {
           const std::size_t after = SkipAngles(toks, k);
-          if (after != k) {
-            for (std::size_t a = k + 1; a + 1 < after; ++a) {
-              if (IsIdent(toks[a]) && !ControlWord(toks[a].text) &&
-                  toks[a].text != "std" && toks[a].text != "const") {
-                field.args.push_back(toks[a].text);
-              }
-            }
-            k = after - 1;
-            continue;
-          }
-        }
-        if (IsPunct(t, "[")) {
-          const std::size_t close = MatchClose(toks, k);
-          long long count = -1;
-          if (close == k + 2 && toks[k + 1].kind == TokKind::kNumber) {
-            count = std::atoll(toks[k + 1].text.c_str());
-          }
-          if (count <= 0) {
-            field.parse_ok = false;
-          } else {
-            field.array_count *= count;
-          }
-          k = close;
+          if (after != k) k = after - 1;
           continue;
         }
-        if (IsPunct(t, "*") || IsPunct(t, "&")) {
-          field.is_indirect = true;
-          continue;
-        }
-        if (IsPunct(t, ":") &&
-            !(k + 1 < ce && IsPunct(toks[k + 1], ":")) &&
-            !(k > cb && IsPunct(toks[k - 1], ":"))) {
-          bitfield = true;
+        if (IsPunct(t, "(") || IsPunct(t, "[")) {
+          k = MatchClose(toks, k);
           continue;
         }
         if (IsIdent(t) && t.text != "std" && t.text != "const" &&
             t.text != "volatile" && t.text != "mutable" &&
             t.text != "constexpr" && t.text != "inline") {
-          outer.push_back(t.text);
+          idents.push_back(t.text);
         }
       }
-      if (bitfield) field.parse_ok = false;
       if (c == 0) {
-        if (outer.size() < 2) {  // need at least a type and a name
-          usable = false;
-          break;
-        }
-        field.name = outer.back();
-        outer.pop_back();
-        field.outer.clear();
-        for (const std::string& id : outer) {
-          if (id == "atomic") {
-            field.is_atomic = true;
-          } else {
-            field.outer.push_back(id);
-          }
-        }
-        if (field.outer.empty() && !field.is_atomic && field.args.empty()) {
-          usable = false;
-          break;
-        }
+        if (idents.size() < 2) break;  // need at least a type and a name
+        field.is_atomic = std::find(idents.begin(), idents.end() - 1,
+                                    "atomic") != idents.end() - 1;
         base = field;
-        base.name.clear();
-        base.array_count = 1;
-        base.parse_ok = true;
-      } else {
-        if (outer.empty()) continue;  // stray comma, nothing declared
-        field.name = outer.back();
+      } else if (idents.empty()) {
+        continue;  // stray comma, nothing declared
       }
+      field.name = idents.back();
       fields.push_back(std::move(field));
     }
   }
@@ -461,334 +359,12 @@ std::vector<FieldDecl> ParseFields(const std::vector<Token>& toks,
 std::vector<StructDecl> CollectStructs(const FactsTable& table) {
   std::vector<StructDecl> structs;
   for (const TuFacts& file : table.Files()) {
-    const std::vector<Token>& toks = file.tokens;
-    for (const ClassSpan& span : ScanClassSpans(toks)) {
-      StructDecl decl;
-      decl.name = span.name;
-      decl.enclosing = span.enclosing;
-      decl.is_union = span.is_union;
-      decl.file = &file;
-      decl.line = span.line;
-      decl.fields = ParseFields(toks, span.begin, span.end);
-      structs.push_back(std::move(decl));
+    for (const ClassSpan& span : ScanClassSpans(file.tokens)) {
+      structs.push_back(
+          {span.name, &file, ParseFields(file.tokens, span.begin, span.end)});
     }
   }
   return structs;
-}
-
-// ---- the size model --------------------------------------------------------
-
-using TypeModel = LayoutSpec::TypeModel;
-
-// The declared fixed-size primitive model (LP64): this is a *contract*, not
-// an ABI probe — the point is that budgets and wire pins are stated in bytes
-// a reviewer can check by hand.
-std::optional<TypeModel> BuiltinModel(
-    const std::vector<std::string>& idents) {
-  static const std::map<std::string, TypeModel, std::less<>> kFixed = {
-      {"bool", {1, 1}},        {"int8_t", {1, 1}},    {"uint8_t", {1, 1}},
-      {"char8_t", {1, 1}},     {"int16_t", {2, 2}},   {"uint16_t", {2, 2}},
-      {"char16_t", {2, 2}},    {"int32_t", {4, 4}},   {"uint32_t", {4, 4}},
-      {"char32_t", {4, 4}},    {"wchar_t", {4, 4}},   {"float", {4, 4}},
-      {"int64_t", {8, 8}},     {"uint64_t", {8, 8}},  {"size_t", {8, 8}},
-      {"ssize_t", {8, 8}},     {"ptrdiff_t", {8, 8}}, {"intptr_t", {8, 8}},
-      {"uintptr_t", {8, 8}},   {"time_t", {8, 8}},    {"double", {8, 8}},
-      {"nullptr_t", {8, 8}},
-  };
-  bool has_long = false, has_short = false, has_int = false,
-       has_char = false, has_double = false, has_signed = false;
-  for (const std::string& s : idents) {
-    const auto it = kFixed.find(s);
-    if (it != kFixed.end()) {
-      if (s == "double" && has_long) return TypeModel{16, 16};
-      if (s == "double") {
-        has_double = true;
-        continue;
-      }
-      return it->second;
-    }
-    if (s == "long") has_long = true;
-    else if (s == "short") has_short = true;
-    else if (s == "int") has_int = true;
-    else if (s == "char") has_char = true;
-    else if (s == "unsigned" || s == "signed") has_signed = true;
-    else return std::nullopt;  // a non-builtin ident: not a builtin type
-  }
-  if (has_double) return has_long ? TypeModel{16, 16} : TypeModel{8, 8};
-  if (has_long) return TypeModel{8, 8};
-  if (has_short) return TypeModel{2, 2};
-  if (has_char) return TypeModel{1, 1};
-  if (has_int || has_signed) return TypeModel{4, 4};
-  return std::nullopt;
-}
-
-long long RoundUp(long long value, long long align) {
-  return align > 0 ? (value + align - 1) / align * align : value;
-}
-
-class SizeModel {
- public:
-  SizeModel(const LayoutSpec& spec, const std::vector<StructDecl>& structs)
-      : spec_(spec) {
-    for (std::size_t s = 0; s < structs.size(); ++s) {
-      // First definition of a name wins (files arrive in path order).
-      structs_by_name_.emplace(structs[s].name, &structs[s]);
-    }
-  }
-
-  void ScanFile(const TuFacts& file) {
-    const std::vector<Token>& toks = file.tokens;
-    for (std::size_t i = 0; i + 2 < toks.size(); ++i) {
-      if (!IsIdent(toks[i])) continue;
-      if (toks[i].text == "enum") {
-        std::size_t n = i + 1;
-        if (n < toks.size() && IsIdent(toks[n]) &&
-            (toks[n].text == "class" || toks[n].text == "struct")) {
-          ++n;
-        }
-        if (n >= toks.size() || !IsIdent(toks[n])) continue;
-        const std::string& name = toks[n].text;
-        TypeModel model{4, 4};  // no enum-base: int
-        std::size_t j = n + 1;
-        if (j < toks.size() && IsPunct(toks[j], ":") &&
-            !(j + 1 < toks.size() && IsPunct(toks[j + 1], ":"))) {
-          std::vector<std::string> base;
-          for (++j; j < toks.size() && !IsPunct(toks[j], "{") &&
-                    !IsPunct(toks[j], ";");
-               ++j) {
-            if (IsIdent(toks[j]) && toks[j].text != "std") {
-              base.push_back(toks[j].text);
-            }
-          }
-          if (const auto m = BuiltinModel(base)) model = *m;
-        }
-        if (j < toks.size() && IsPunct(toks[j], "{")) {
-          enums_.emplace(name, model);
-        }
-        continue;
-      }
-      if (toks[i].text == "using" && IsIdent(toks[i + 1]) &&
-          IsPunct(toks[i + 2], "=")) {
-        std::vector<std::string> rhs;
-        for (std::size_t j = i + 3; j < toks.size() && !IsPunct(toks[j], ";");
-             ++j) {
-          if (IsPunct(toks[j], "<")) break;  // template alias: not a scalar
-          if (IsIdent(toks[j]) && toks[j].text != "std") {
-            rhs.push_back(toks[j].text);
-          }
-        }
-        if (!rhs.empty()) aliases_.emplace(toks[i + 1].text, rhs);
-      }
-    }
-  }
-
-  // Size/alignment of a field under the declared model, or nullopt with
-  // *unknown naming the unresolvable type.
-  std::optional<TypeModel> FieldModel(const FieldDecl& field,
-                                      std::string* unknown) {
-    if (!field.parse_ok) {
-      if (unknown != nullptr) *unknown = field.name + " (unparsed declarator)";
-      return std::nullopt;
-    }
-    if (field.is_indirect) return TypeModel{8, 8};
-    const auto model = ResolveField(field, 0);
-    if (!model && unknown != nullptr) {
-      std::string type;
-      for (const std::string& s : field.outer) {
-        if (!type.empty()) type += ' ';
-        type += s;
-      }
-      if (!field.args.empty()) {
-        type += '<';
-        for (std::size_t a = 0; a < field.args.size(); ++a) {
-          if (a != 0) type += ',';
-          type += field.args[a];
-        }
-        type += '>';
-      }
-      *unknown = field.name + " (type '" + type + "')";
-    }
-    return model;
-  }
-
-  std::optional<TypeModel> StructModel(const StructDecl& decl, int depth);
-
- private:
-  // A field under the fixed-size model: pointers/references are 8 bytes,
-  // atomic<T> has T's layout, optional<T> is T plus one aligned flag byte,
-  // other templates resolve by their head name (spec `type` lines cover the
-  // std containers), plain names resolve through spec -> enum -> alias ->
-  // scanned struct.
-  std::optional<TypeModel> ResolveField(const FieldDecl& field, int depth) {
-    if (depth > 8) return std::nullopt;
-    if (field.is_indirect) return TypeModel{8, 8};
-    if (field.is_atomic) return ResolveIdents(field.args, depth + 1);
-    if (!field.args.empty()) {
-      if (field.outer.empty()) return std::nullopt;
-      const std::string& head = field.outer.back();
-      if (head == "optional") {
-        const auto inner = ResolveIdents(field.args, depth + 1);
-        if (!inner) return std::nullopt;
-        return TypeModel{inner->size + inner->align, inner->align};
-      }
-      if (head == "pair") {
-        // pair<A,B> under this model: both members resolved, laid out in
-        // order. Only single-ident members are representable here.
-        if (field.args.size() == 2) {
-          const auto a = ResolveIdents({field.args[0]}, depth + 1);
-          const auto b = ResolveIdents({field.args[1]}, depth + 1);
-          if (a && b) {
-            const int align = std::max(a->align, b->align);
-            const int size = static_cast<int>(RoundUp(
-                RoundUp(a->size, b->align) + b->size, align));
-            return TypeModel{size, align};
-          }
-        }
-        return std::nullopt;
-      }
-      return ResolveName(head, depth + 1);
-    }
-    return ResolveIdents(field.outer, depth + 1);
-  }
-
-  std::optional<TypeModel> ResolveName(const std::string& name, int depth) {
-    if (depth > 8) return std::nullopt;
-    const auto spec_it = spec_.types.find(name);
-    if (spec_it != spec_.types.end()) return spec_it->second;
-    const auto enum_it = enums_.find(name);
-    if (enum_it != enums_.end()) return enum_it->second;
-    const auto alias_it = aliases_.find(name);
-    if (alias_it != aliases_.end()) {
-      return ResolveIdents(alias_it->second, depth + 1);
-    }
-    const auto struct_it = structs_by_name_.find(name);
-    if (struct_it != structs_by_name_.end()) {
-      return StructModel(*struct_it->second, depth + 1);
-    }
-    return std::nullopt;
-  }
-
-  std::optional<TypeModel> ResolveIdents(
-      const std::vector<std::string>& idents, int depth) {
-    if (depth > 8 || idents.empty()) return std::nullopt;
-    if (const auto m = BuiltinModel(idents)) return m;
-    // Qualified names resolve by their last component; the qualifier tokens
-    // (namespaces, enclosing classes) ride along in the ident list.
-    return ResolveName(idents.back(), depth);
-  }
-
-  const LayoutSpec& spec_;
-  std::map<std::string, TypeModel, std::less<>> enums_;
-  std::map<std::string, std::vector<std::string>, std::less<>> aliases_;
-  std::map<std::string, const StructDecl*, std::less<>> structs_by_name_;
-  std::map<std::string, std::optional<TypeModel>, std::less<>> struct_memo_;
-};
-
-struct ComputedLayout {
-  bool sizeable = false;
-  std::string unknown;  // first field the model cannot size
-  long long size = 0;
-  long long align = 1;
-  long long optimal_size = 0;          // best achievable by reordering
-  std::vector<long long> offsets;      // per field, declaration order
-  std::vector<std::string> best_order; // field names, decreasing alignment
-};
-
-std::optional<TypeModel> SizeModel::StructModel(const StructDecl& decl,
-                                                int depth) {
-  if (depth > 8) return std::nullopt;
-  const auto memo = struct_memo_.find(decl.name);
-  if (memo != struct_memo_.end()) return memo->second;
-  struct_memo_.emplace(decl.name, std::nullopt);  // cycle guard
-  long long size = 0, align = 1;
-  for (const FieldDecl& field : decl.fields) {
-    std::optional<TypeModel> m = ResolveField(field, depth + 1);
-    if (!m || !field.parse_ok) {
-      struct_memo_[decl.name] = std::nullopt;
-      return std::nullopt;
-    }
-    const long long falign =
-        std::max<long long>(m->align, field.alignas_bytes);
-    const long long fsize =
-        static_cast<long long>(m->size) * field.array_count;
-    align = std::max(align, falign);
-    if (decl.is_union) {
-      size = std::max(size, fsize);
-    } else {
-      size = RoundUp(size, falign) + fsize;
-    }
-  }
-  if (decl.fields.empty()) size = 1;  // empty structs occupy one byte
-  size = RoundUp(size, align);
-  const TypeModel model{static_cast<int>(size), static_cast<int>(align)};
-  struct_memo_[decl.name] = model;
-  return model;
-}
-
-ComputedLayout ComputeLayout(const StructDecl& decl, SizeModel& model) {
-  ComputedLayout out;
-  struct Sized {
-    std::string name;
-    long long size = 0;
-    long long align = 1;
-  };
-  std::vector<Sized> sized;
-  for (const FieldDecl& field : decl.fields) {
-    std::string unknown;
-    const auto m = model.FieldModel(field, &unknown);
-    if (!m) {
-      out.unknown = unknown;
-      return out;
-    }
-    sized.push_back({field.name,
-                     static_cast<long long>(m->size) * field.array_count,
-                     std::max<long long>(m->align, field.alignas_bytes)});
-  }
-  out.sizeable = true;
-  long long cur = 0;
-  for (const Sized& f : sized) {
-    cur = RoundUp(cur, f.align);
-    out.offsets.push_back(cur);
-    out.align = std::max(out.align, f.align);
-    cur = decl.is_union ? std::max(cur, f.size) : cur + f.size;
-    if (decl.is_union) cur = std::max(cur, f.size);
-  }
-  if (sized.empty()) cur = 1;
-  out.size = RoundUp(cur, out.align);
-  // Best achievable: stable-sort by decreasing alignment (then decreasing
-  // size), which packs every padding hole a reorder can remove.
-  std::vector<Sized> best = sized;
-  std::stable_sort(best.begin(), best.end(),
-                   [](const Sized& a, const Sized& b) {
-                     return std::tie(b.align, b.size) <
-                            std::tie(a.align, a.size);
-                   });
-  long long opt = 0;
-  for (const Sized& f : best) {
-    opt = RoundUp(opt, f.align) + f.size;
-    out.best_order.push_back(f.name);
-  }
-  if (best.empty()) opt = 1;
-  out.optimal_size = decl.is_union ? out.size : RoundUp(opt, out.align);
-  return out;
-}
-
-std::string QualifiedName(const StructDecl& decl) {
-  return decl.enclosing.empty() ? decl.name
-                                : decl.enclosing + "::" + decl.name;
-}
-
-// Matches a spec struct name ("Sample", "IngestShard::Msg") against a
-// definition. An unqualified name matches only top-level structs, so
-// `budget Point` pins stats::Point without also grabbing an unrelated
-// nested Outer::Point; a qualified name must match the enclosing class.
-bool SpecNameMatches(std::string_view spec_name, const StructDecl& decl) {
-  const std::size_t sep = spec_name.rfind("::");
-  if (sep == std::string_view::npos) {
-    return spec_name == decl.name && decl.enclosing.empty();
-  }
-  return spec_name.substr(sep + 2) == decl.name &&
-         spec_name.substr(0, sep) == decl.enclosing;
 }
 
 std::string JoinNames(const std::vector<std::string>& names) {
@@ -800,81 +376,7 @@ std::string JoinNames(const std::vector<std::string>& names) {
   return out;
 }
 
-// ---- layout pass -----------------------------------------------------------
-
-void CheckBudgets(const std::vector<StructDecl>& structs, SizeModel& model,
-                  const LayoutSpec& spec, std::vector<Finding>& out) {
-  for (const auto& [name, budget] : spec.budgets) {
-    bool found = false;
-    for (const StructDecl& decl : structs) {
-      if (!SpecNameMatches(name, decl)) continue;
-      found = true;
-      const ComputedLayout layout = ComputeLayout(decl, model);
-      if (!layout.sizeable) {
-        Emit(*decl.file, decl.line, "layout-budget", Severity::kError,
-             "struct '" + QualifiedName(decl) + "' has a declared budget of " +
-                 std::to_string(budget) + " bytes but field " +
-                 layout.unknown +
-                 " has no size model; add a `type <name> <size> <align>` "
-                 "line to tools/manic_lint/layout.txt",
-             out);
-        continue;
-      }
-      if (layout.size > budget) {
-        std::string chain;
-        for (std::size_t f = 0; f < decl.fields.size(); ++f) {
-          if (!chain.empty()) chain += " -> ";
-          chain += decl.fields[f].name + "@" +
-                   std::to_string(layout.offsets[f]);
-        }
-        std::string msg =
-            "struct '" + QualifiedName(decl) + "' is " +
-            std::to_string(layout.size) + " bytes under the declared model, "
-            "over its " + std::to_string(budget) + "-byte budget [offsets: " +
-            chain + "]";
-        if (layout.optimal_size < layout.size) {
-          msg += "; reordering as (" + JoinNames(layout.best_order) +
-                 ") reaches " + std::to_string(layout.optimal_size) +
-                 " bytes";
-        } else {
-          msg += "; no field order is smaller — shrink a field or raise the "
-                 "budget deliberately";
-        }
-        msg += "; at scale-up element counts every byte here is "
-               "megabytes of resident set";
-        Emit(*decl.file, decl.line, "layout-budget", Severity::kError,
-             std::move(msg), out);
-      }
-    }
-    if (!found) {
-      out.push_back(
-          {"tools/manic_lint/layout.txt", 0, "layout-budget",
-           Severity::kError,
-           "budget names struct '" + name +
-               "' but no definition was found in the scanned tree; fix the "
-               "spec or restore the struct"});
-    }
-  }
-}
-
-void CheckPadding(const std::vector<StructDecl>& structs, SizeModel& model,
-                  const LayoutSpec& spec, std::vector<Finding>& out) {
-  for (const StructDecl& decl : structs) {
-    if (decl.fields.size() < 2 || decl.is_union) continue;
-    const ComputedLayout layout = ComputeLayout(decl, model);
-    if (!layout.sizeable) continue;  // only fully modeled structs are judged
-    const long long waste = layout.size - layout.optimal_size;
-    if (waste < spec.pad_threshold) continue;
-    Emit(*decl.file, decl.line, "layout-pad", Severity::kWarning,
-         "struct '" + QualifiedName(decl) + "' wastes " +
-             std::to_string(waste) + " byte(s) to reorderable padding (" +
-             std::to_string(layout.size) + " -> " +
-             std::to_string(layout.optimal_size) +
-             " bytes); suggested field order: (" +
-             JoinNames(layout.best_order) + ")",
-         out);
-  }
-}
+// ---- false-sharing pass ----------------------------------------------------
 
 void CheckFalseSharing(const std::vector<StructDecl>& structs,
                        const LayoutSpec& spec,
@@ -1122,83 +624,6 @@ void CheckFileAllocs(const TuFacts& file, const LayoutSpec& spec,
   }
 }
 
-// ---- wire-abi pass ---------------------------------------------------------
-
-void CheckWireStruct(const LayoutSpec::WireStruct& wire,
-                     const std::vector<StructDecl>& structs,
-                     std::vector<Finding>& out) {
-  // Spec self-check: the pinned groups must sum to the declared total, so
-  // the spec cannot drift from itself.
-  int sum = 0;
-  for (const LayoutSpec::WireGroup& g : wire.groups) sum += g.bytes;
-  if (sum != wire.total) {
-    out.push_back(
-        {"tools/manic_lint/layout.txt", 0, "wire-abi", Severity::kError,
-         "wire spec for '" + wire.name + "' declares a " +
-             std::to_string(wire.total) + "-byte record but its groups sum "
-             "to " + std::to_string(sum) + " bytes; fix the spec"});
-    return;
-  }
-  std::vector<std::string> pinned;
-  for (const LayoutSpec::WireGroup& g : wire.groups) {
-    pinned.insert(pinned.end(), g.fields.begin(), g.fields.end());
-  }
-  bool found = false;
-  for (const StructDecl& decl : structs) {
-    if (!SpecNameMatches(wire.name, decl)) continue;
-    found = true;
-    std::vector<std::string> actual;
-    for (const FieldDecl& f : decl.fields) actual.push_back(f.name);
-    if (actual == pinned) continue;
-    // Name the sharpest divergence: an unpinned field is the classic
-    // drive-by addition; otherwise a removal or reorder.
-    std::string msg;
-    int line = decl.line;
-    const std::set<std::string, std::less<>> pinned_set(pinned.begin(),
-                                                        pinned.end());
-    for (std::size_t f = 0; f < actual.size(); ++f) {
-      if (pinned_set.count(actual[f]) == 0) {
-        msg = "field '" + actual[f] + "' of '" + QualifiedName(decl) +
-              "' is not part of the pinned " + std::to_string(wire.total) +
-              "-byte wire format; an unencoded field silently forks the "
-              "wire/checkpoint/replay streams — encode it, bump the format "
-              "version, and re-pin the layout in "
-              "tools/manic_lint/layout.txt";
-        line = decl.fields[f].line;
-        break;
-      }
-    }
-    if (msg.empty()) {
-      const std::set<std::string, std::less<>> actual_set(actual.begin(),
-                                                          actual.end());
-      for (const std::string& p : pinned) {
-        if (actual_set.count(p) == 0) {
-          msg = "pinned wire field '" + p + "' is missing from '" +
-                QualifiedName(decl) +
-                "'; removing or renaming an encoded field breaks every "
-                "recorded stream — restore it or re-pin the layout "
-                "deliberately";
-          break;
-        }
-      }
-    }
-    if (msg.empty()) {
-      msg = "fields of '" + QualifiedName(decl) +
-            "' are declared in a different order than the pinned wire "
-            "layout (" + JoinNames(pinned) +
-            "); declaration order documents encode order — restore it";
-    }
-    Emit(*decl.file, line, "wire-abi", Severity::kError, std::move(msg), out);
-  }
-  if (!found) {
-    out.push_back(
-        {"tools/manic_lint/layout.txt", 0, "wire-abi", Severity::kError,
-         "wire spec pins struct '" + wire.name +
-             "' but no definition was found in the scanned tree; fix the "
-             "spec or restore the struct"});
-  }
-}
-
 }  // namespace
 
 // ---- spec parsing ----------------------------------------------------------
@@ -1222,28 +647,7 @@ LayoutSpec ParseLayoutSpec(std::string_view text, std::string* error) {
     std::istringstream fields(line);
     std::string word;
     if (!(fields >> word)) continue;
-    if (word == "type") {
-      std::string name;
-      int size = 0, align = 0;
-      if (!(fields >> name >> size >> align) || size <= 0 || align <= 0) {
-        return fail("expected `type <name> <size> <align>` with positive "
-                    "sizes");
-      }
-      spec.types[name] = {size, align};
-    } else if (word == "budget") {
-      std::string name;
-      int bytes = 0;
-      if (!(fields >> name >> bytes) || bytes <= 0) {
-        return fail("expected `budget <Struct> <max_bytes>`");
-      }
-      spec.budgets[name] = bytes;
-    } else if (word == "pad-threshold") {
-      int bytes = 0;
-      if (!(fields >> bytes) || bytes <= 0) {
-        return fail("expected `pad-threshold <bytes>`");
-      }
-      spec.pad_threshold = bytes;
-    } else if (word == "same-line") {
+    if (word == "same-line") {
       std::string field;
       int count = 0;
       const int group = next_group++;
@@ -1257,14 +661,6 @@ LayoutSpec ParseLayoutSpec(std::string_view text, std::string* error) {
       if (count < 2) {
         return fail("same-line needs at least two fields to share a line");
       }
-    } else if (word == "multi-thread") {
-      std::string name;
-      int count = 0;
-      while (fields >> name) {
-        spec.multi_thread.insert(name);
-        ++count;
-      }
-      if (count == 0) return fail("multi-thread lists no structs");
     } else if (word == "scale-axis") {
       std::string pat;
       int count = 0;
@@ -1281,51 +677,14 @@ LayoutSpec ParseLayoutSpec(std::string_view text, std::string* error) {
         ++count;
       }
       if (count == 0) return fail("arena lists no identifiers");
-    } else if (word == "wire") {
-      LayoutSpec::WireStruct wire;
-      if (!(fields >> wire.name >> wire.total) || wire.total <= 0) {
-        return fail("expected `wire <Struct> <total_bytes> <field:bytes>...`");
-      }
-      std::string group;
-      while (fields >> group) {
-        const std::size_t colon = group.rfind(':');
-        if (colon == std::string::npos || colon + 1 >= group.size()) {
-          return fail("wire group '" + group + "' needs a :bytes suffix");
-        }
-        LayoutSpec::WireGroup g;
-        g.bytes = std::atoi(group.c_str() + colon + 1);
-        if (g.bytes <= 0) {
-          return fail("wire group '" + group + "' has a non-positive size");
-        }
-        std::string name;
-        for (std::size_t c = 0; c < colon; ++c) {
-          if (group[c] == '+') {
-            if (name.empty()) return fail("wire group '" + group +
-                                          "' has an empty field name");
-            g.fields.push_back(name);
-            name.clear();
-          } else {
-            name.push_back(group[c]);
-          }
-        }
-        if (name.empty()) {
-          return fail("wire group '" + group + "' has an empty field name");
-        }
-        g.fields.push_back(name);
-        wire.groups.push_back(std::move(g));
-      }
-      if (wire.groups.empty()) {
-        return fail("wire '" + wire.name + "' pins no fields");
-      }
-      spec.wire.push_back(std::move(wire));
     } else {
       return fail("unrecognized directive '" + word + "'");
     }
   }
-  spec.loaded = !spec.budgets.empty() || !spec.wire.empty() ||
-                !spec.scale_axes.empty();
+  spec.loaded = !spec.same_line.empty() || !spec.scale_axes.empty() ||
+                !spec.arena.empty();
   if (!spec.loaded && error != nullptr && error->empty()) {
-    *error = "layout spec declares no budgets, wire structs, or scale axes";
+    *error = "layout spec declares no same-line groups, scale axes, or arenas";
   }
   return spec;
 }
@@ -1343,23 +702,13 @@ LayoutSpec LoadLayoutSpec(const std::string& path, std::string* error) {
 
 // ---- pass drivers ----------------------------------------------------------
 
-void RunLayoutPass(const FactsTable& table, const LayoutSpec& spec,
-                   const ConcurrencySpec* concurrency,
-                   std::vector<Finding>& out) {
-  if (!spec.loaded) return;
-  const std::vector<StructDecl> structs = CollectStructs(table);
-  SizeModel model(spec, structs);
-  for (const TuFacts& file : table.Files()) model.ScanFile(file);
+void RunFalseSharingPass(const FactsTable& table, const LayoutSpec& spec,
+                         const ConcurrencySpec* concurrency,
+                         std::vector<Finding>& out) {
+  if (!spec.loaded || concurrency == nullptr || !concurrency->loaded) return;
   std::vector<Finding> found;
-  CheckBudgets(structs, model, spec, found);
-  CheckPadding(structs, model, spec, found);
-  std::set<std::string, std::less<>> multi_role = spec.multi_thread;
-  if (concurrency != nullptr && concurrency->loaded) {
-    for (const std::string& cls : MultiRoleClasses(table, *concurrency)) {
-      multi_role.insert(cls);
-    }
-  }
-  CheckFalseSharing(structs, spec, multi_role, found);
+  CheckFalseSharing(CollectStructs(table), spec,
+                    MultiRoleClasses(table, *concurrency), found);
   SortUnique(found, out);
 }
 
@@ -1369,17 +718,6 @@ void RunAllocPass(const FactsTable& table, const LayoutSpec& spec,
   std::vector<Finding> found;
   for (const TuFacts& file : table.Files()) {
     CheckFileAllocs(file, spec, found);
-  }
-  SortUnique(found, out);
-}
-
-void RunWireAbiPass(const FactsTable& table, const LayoutSpec& spec,
-                    std::vector<Finding>& out) {
-  if (!spec.loaded) return;
-  const std::vector<StructDecl> structs = CollectStructs(table);
-  std::vector<Finding> found;
-  for (const LayoutSpec::WireStruct& wire : spec.wire) {
-    CheckWireStruct(wire, structs, found);
   }
   SortUnique(found, out);
 }

@@ -1,73 +1,35 @@
-// Phase 6 of the whole-program analyzer: memory-layout, allocation, and
-// wire-ABI contracts — the static half of the 100x topology scale-up
-// (ROADMAP item 2). At ~1M interfaces a padding byte is a megabyte, a
-// false-shared cache line is an ingest-throughput cliff, and a drive-by
-// field added to a wire struct silently forks every recorded replay stream.
-// All three failure modes are visible at the token level, so this tier
-// checks them on every lint run, whole program, driven by
-// tools/manic_lint/layout.txt. Three interlocking passes:
+// Phase 6 of the whole-program analyzer: the memory-layout and allocation
+// contracts the compiler cannot check. Byte budgets and wire-format pins are
+// not here: they are static_asserts next to each struct (sizeof, offsetof
+// and a structured-binding field count), proven by every compile and guarded
+// by the compile-fail tests in tests/compile_fail/. Two passes, driven by
+// tools/manic_lint/layout.txt:
 //
-//   layout      (error/warning) every struct whose fields the declared size
-//                         model covers gets offsets, size, and padding
-//                         computed (fixed-size primitive model: builtins,
-//                         scanned `enum class : T` underlying types, scanned
-//                         `using X = Y` aliases, recursively sized nested
-//                         structs, and spec `type` declarations). A struct
-//                         over its spec-declared byte budget is an error
-//                         (rule "layout-budget") carrying the field:offset
-//                         chain; reorderable padding waste at or above the
-//                         spec threshold is a warning (rule "layout-pad")
-//                         carrying the suggested field order; an atomic
-//                         field in a struct touched by more than one
-//                         declared thread role (concurrency.txt roles,
+//   false-sharing (error) an atomic field in a struct touched by more than
+//                         one declared thread role (concurrency.txt roles,
 //                         propagated over the call graph) that shares a
 //                         64-byte line with another mutable field and lacks
-//                         alignas(64) is an error (rule "false-sharing")
-//                         unless the cohabitation is declared `same-line`.
-//   alloc       (error)   per-element heap allocation inside a loop that
+//                         alignas(64) is an error unless the cohabitation
+//                         is declared `same-line`.
+//   alloc-scale (error)   per-element heap allocation inside a loop that
 //                         iterates a spec-declared scale-axis collection
 //                         (per-interface, per-link, per-sample): new /
 //                         make_unique / make_shared / malloc, node-based
 //                         map/set growth (insert/emplace/try_emplace), and
 //                         push_back into nested containers, unless the
-//                         callee or receiver is a declared `arena` path
-//                         (rule "alloc-scale"). This is the lintable arena
-//                         discipline the scale-up builds against.
-//   wire-abi    (error)   structs named in the spec's `wire` section must
-//                         exist, declare exactly the pinned fields in the
-//                         pinned order, and the pinned encoded field sizes
-//                         must sum to the declared total — so adding or
-//                         reordering a field in serve::Sample,
-//                         serve::VerdictRecord, serve::ServiceStats, or the
-//                         checkpoint record header can never silently fork
-//                         the wire/checkpoint/replay formats (rule
-//                         "wire-abi").
+//                         callee or receiver is a declared `arena` path.
+//                         This is the lintable arena discipline the
+//                         scale-up builds against.
 //
 // Spec grammar (one directive per line, '#' comments):
-//   type <name> <size> <align>     declared size model for a named type the
-//                                  scanner cannot derive (e.g. vtable-free
-//                                  wrapper classes from other TUs)
-//   budget <Struct> <max_bytes>    hot per-element structs and their byte
-//                                  ceilings; <Struct> may be qualified
-//                                  (Outer::Inner) by enclosing class
-//   pad-threshold <bytes>          minimum reorderable waste to report
-//                                  (default 8)
 //   same-line <Class::field>...    fields allowed to cohabit one cache line
 //                                  on purpose (e.g. two relaxed counters
 //                                  written by the same thread); the spec
 //                                  line is the audit trail
-//   multi-thread <Class>...        extra multi-role structs beyond what the
-//                                  concurrency roles reach
 //   scale-axis <pattern>...        collection names that grow with topology
 //                                  scale (trailing '*' = prefix match)
 //   arena <ident>...               sanctioned bulk-allocation callees and
 //                                  receivers inside scale loops
-//   wire <Struct> <total> <f:n | f1+f2:n>...
-//                                  pinned encoded layout: struct fields in
-//                                  declaration order with encoded byte
-//                                  sizes; '+' joins fields packed into one
-//                                  encoded group (e.g. three bools in one
-//                                  flags byte)
 //
 // Suppression: `// manic-lint: allow(layout: <rule>)` (or the bare rule
 // name) on the finding's line or the line above — the `layout:` family
@@ -88,30 +50,11 @@ namespace manic::lint {
 struct ConcurrencySpec;  // concurrency.h
 
 struct LayoutSpec {
-  struct TypeModel {
-    int size = 0;
-    int align = 0;
-  };
-  struct WireGroup {
-    std::vector<std::string> fields;  // struct fields packed into the group
-    int bytes = 0;                    // encoded size of the group
-  };
-  struct WireStruct {
-    std::string name;  // possibly Outer::Inner qualified
-    int total = 0;     // declared encoded size of one record
-    std::vector<WireGroup> groups;  // in encoded (and declaration) order
-  };
-
-  std::map<std::string, TypeModel, std::less<>> types;
-  std::map<std::string, int, std::less<>> budgets;  // struct -> max bytes
-  int pad_threshold = 8;
   // same-line groups: field pattern ("Class::field") -> group id; fields in
   // one group may share a cache line without a false-sharing finding.
   std::map<std::string, int, std::less<>> same_line;
-  std::set<std::string, std::less<>> multi_thread;  // extra struct names
-  std::vector<std::string> scale_axes;              // trailing '*' ok
+  std::vector<std::string> scale_axes;  // trailing '*' ok
   std::set<std::string, std::less<>> arena;
-  std::vector<WireStruct> wire;
   bool loaded = false;
 };
 
@@ -122,21 +65,16 @@ LayoutSpec ParseLayoutSpec(std::string_view text, std::string* error);
 // Reads and parses a spec file; unreadable file => unloaded spec + `error`.
 LayoutSpec LoadLayoutSpec(const std::string& path, std::string* error);
 
-// The layout pass: byte budgets, reorderable padding, and false sharing
-// (rules "layout-budget", "layout-pad", "false-sharing"). `concurrency` may
-// be null: the false-sharing check then covers only spec `multi-thread`
-// structs.
-void RunLayoutPass(const FactsTable& table, const LayoutSpec& spec,
-                   const ConcurrencySpec* concurrency,
-                   std::vector<Finding>& out);
+// The false-sharing pass (rule "false-sharing") over the structs the
+// concurrency roles reach from more than one role. A null or unloaded
+// `concurrency` spec leaves no multi-role struct, so nothing is checked.
+void RunFalseSharingPass(const FactsTable& table, const LayoutSpec& spec,
+                         const ConcurrencySpec* concurrency,
+                         std::vector<Finding>& out);
 
 // The allocation pass: per-element heap allocation inside scale-axis loops
 // (rule "alloc-scale").
 void RunAllocPass(const FactsTable& table, const LayoutSpec& spec,
                   std::vector<Finding>& out);
-
-// The wire-ABI pass: pinned encoded formats (rule "wire-abi").
-void RunWireAbiPass(const FactsTable& table, const LayoutSpec& spec,
-                    std::vector<Finding>& out);
 
 }  // namespace manic::lint

@@ -256,7 +256,6 @@ TreeAnalysis AnalyzeTree(const std::vector<std::string>& paths,
   }
   if (trust != nullptr && trust->loaded) {
     RunTrustPass(result.facts, *trust, result.findings);
-    RunMustCheckPass(result.facts, *trust, result.findings);
   }
   if (concurrency != nullptr && concurrency->loaded) {
     RunAtomicsPass(result.facts, *concurrency, result.findings);
@@ -264,9 +263,8 @@ TreeAnalysis AnalyzeTree(const std::vector<std::string>& paths,
     RunLockOrderPass(result.facts, *concurrency, result.findings);
   }
   if (layout != nullptr && layout->loaded) {
-    RunLayoutPass(result.facts, *layout, concurrency, result.findings);
+    RunFalseSharingPass(result.facts, *layout, concurrency, result.findings);
     RunAllocPass(result.facts, *layout, result.findings);
-    RunWireAbiPass(result.facts, *layout, result.findings);
   }
   RunHotPathPass(result.facts, result.findings);
   SortFindings(result.findings);
@@ -360,9 +358,6 @@ const std::vector<RuleInfo>& RuleCatalog() {
       {"trust", "trust", "error",
        "boundary-tainted values must pass a declared sanitizer before "
        "reaching a sink (tools/manic_lint/trust.txt)"},
-      {"must-check", "trust", "error",
-       "declared must-check outcomes (decode results, bounds probes) "
-       "cannot be silently discarded"},
       {"hot-path", "trust", "error/warning",
        "no allocation, locking, or blocking I/O inside declared hot-path "
        "regions"},
@@ -382,12 +377,6 @@ const std::vector<RuleInfo>& RuleCatalog() {
       {"wait-notify", "concurrency", "error",
        "condition-variable and atomic waits need a matching notify "
        "somewhere in the program"},
-      {"layout-budget", "layout", "error",
-       "hot per-element structs must fit their declared byte budgets under "
-       "the fixed-size model (tools/manic_lint/layout.txt)"},
-      {"layout-pad", "layout", "warning",
-       "reorderable padding waste at or above the spec threshold, with the "
-       "suggested field order"},
       {"false-sharing", "layout", "error",
        "an atomic field in a multi-thread-role struct must not share a "
        "64-byte cache line with other mutable fields without alignas(64) "
@@ -395,9 +384,6 @@ const std::vector<RuleInfo>& RuleCatalog() {
       {"alloc-scale", "layout", "error",
        "no per-element heap allocation inside loops over declared "
        "scale-axis collections; bulk paths are declared under `arena`"},
-      {"wire-abi", "layout", "error",
-       "structs pinned in the spec's `wire` section must keep exactly the "
-       "pinned fields, order, and encoded byte sizes"},
   };
   return kCatalog;
 }

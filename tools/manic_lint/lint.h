@@ -75,11 +75,10 @@ int LintPaths(const std::vector<std::string>& paths, std::vector<Finding>& out);
 // Whole-tree analysis: the per-file rules above plus the cross-file graph
 // passes (include cycles, layering contract, unused includes — graph.h),
 // the semantic passes (units dataflow — units.h, determinism taint —
-// taint.h), the trust-boundary passes (taint flows, must-check
-// discards, hot-path contracts — trust.h), the concurrency passes
-// (atomic memory-order contracts, thread-role ownership, lock-order —
-// concurrency.h), and the layout passes (byte budgets, padding, false
-// sharing, scale-loop allocation, wire-ABI pins — layout.h), with the
+// taint.h), the trust-boundary passes (taint flows, hot-path contracts —
+// trust.h), the concurrency passes (atomic memory-order contracts,
+// thread-role ownership, lock-order — concurrency.h), and the layout
+// passes (false sharing, scale-loop allocation — layout.h), with the
 // per-TU facts table and a suppression audit on the side.
 struct TreeAnalysis {
   std::vector<Finding> findings;  // sorted by (file, line, rule)
@@ -95,10 +94,10 @@ struct TreeAnalysis {
 // Walks `paths` like LintPaths, then runs the graph and semantic passes.
 // A null (or unloaded) manifest skips the layering pass only; a null (or
 // unloaded) units spec skips the units pass only; a null (or unloaded)
-// trust spec skips the trust and must-check passes only; a null (or
-// unloaded) concurrency spec skips the atomics/thread-role/lock-order
-// passes only; a null (or unloaded) layout spec skips the
-// layout/alloc/wire-abi passes only. The determinism taint pass and the
+// trust spec skips the trust pass only; a null (or unloaded) concurrency
+// spec skips the atomics/thread-role/lock-order and false-sharing passes;
+// a null (or unloaded) layout spec skips the false-sharing and alloc
+// passes. The determinism taint pass and the
 // hot-path contract pass always run.
 TreeAnalysis AnalyzeTree(const std::vector<std::string>& paths,
                          const LayerManifest* manifest,

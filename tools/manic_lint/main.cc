@@ -18,13 +18,13 @@
 // (IWYU-lite) warnings, the determinism taint pass (always on), the
 // units dataflow pass from --units (default tools/manic_lint/units.txt,
 // same absent/unreadable behavior as --layers), the trust-boundary taint
-// and must-check passes from --trust (default tools/manic_lint/trust.txt,
-// same behavior again), the concurrency passes (atomic memory-order
-// contracts, thread-role ownership, lock-order deadlock detection) from
+// pass from --trust (default tools/manic_lint/trust.txt, same behavior
+// again), the concurrency passes (atomic memory-order contracts,
+// thread-role ownership, lock-order deadlock detection) from
 // --concurrency (default tools/manic_lint/concurrency.txt, same behavior
-// again), the layout passes (byte budgets, padding, false sharing,
-// scale-loop allocation, wire-ABI pins) from --layout (default
-// tools/manic_lint/layout.txt, same behavior again), and the hot-path
+// again), the layout passes (false sharing, scale-loop allocation) from
+// --layout (default tools/manic_lint/layout.txt, same behavior again), and
+// the hot-path
 // contract pass (always on, driven by in-source markers). --list-rules
 // prints the machine-readable rule catalog as JSON and exits (the lint
 // README's rule table is generated from it). --graph writes the real
@@ -107,13 +107,12 @@ int main(int argc, char** argv) {
           "                header-hygiene uninit-member\n"
           "Graph passes:   include-cycle layering unused-include\n"
           "Semantic passes: determinism (always on) units (needs --units)\n"
-          "Trust passes:   trust must-check (need --trust)\n"
+          "Trust passes:   trust (needs --trust)\n"
           "                hot-path (always on, marker-driven)\n"
           "Concurrency:    atomic-order atomic-pair atomic-guard\n"
           "                thread-role lock-order wait-notify\n"
           "                (need --concurrency)\n"
-          "Layout:         layout-budget layout-pad false-sharing\n"
-          "                alloc-scale wire-abi (need --layout)\n"
+          "Layout:         false-sharing alloc-scale (need --layout)\n"
           "                (suppress: // manic-lint: allow(<rule>))\n"
           "--layers FILE   layering manifest (default\n"
           "                tools/manic_lint/layers.txt)\n"
@@ -123,7 +122,7 @@ int main(int argc, char** argv) {
           "                tools/manic_lint/trust.txt)\n"
           "--concurrency FILE  thread-role/ownership spec (default\n"
           "                tools/manic_lint/concurrency.txt)\n"
-          "--layout FILE   memory-layout/wire-ABI spec (default\n"
+          "--layout FILE   memory-layout/allocation spec (default\n"
           "                tools/manic_lint/layout.txt)\n"
           "--list-rules    print the JSON rule catalog and exit\n"
           "--graph FILE    write the src/ module graph as Graphviz DOT\n"

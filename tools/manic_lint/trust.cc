@@ -635,227 +635,6 @@ void CheckFileTrust(const TuFacts& file, const TrustSpec& spec,
   SinkTimeScale(file, spec, state, boundary, out);
 }
 
-// ---- must-check pass -------------------------------------------------------
-
-// Declaration-shaped argument list (every chunk reads as a parameter), the
-// same heuristic the units registry uses.
-std::size_t TopLevelEq(const std::vector<Token>& toks, std::size_t begin,
-                       std::size_t end) {
-  int depth = 0;
-  for (std::size_t j = begin; j < end; ++j) {
-    const Token& t = toks[j];
-    if (t.kind != TokKind::kPunct) continue;
-    if (t.text == "(" || t.text == "[" || t.text == "{") ++depth;
-    else if (t.text == ")" || t.text == "]" || t.text == "}") --depth;
-    else if (t.text == "=" && depth == 0) return j;
-  }
-  return end;
-}
-
-bool TypeishFirst(const Token& t) {
-  if (t.kind != TokKind::kIdent || t.text.empty()) return false;
-  static const std::set<std::string, std::less<>> kTypeWords = {
-      "auto",     "bool",     "char",      "char8_t",  "char16_t",
-      "char32_t", "class",    "const",     "constexpr", "double",
-      "float",    "int",      "long",      "short",    "signed",
-      "std",      "struct",   "typename",  "unsigned", "void",
-      "volatile", "wchar_t"};
-  return kTypeWords.count(t.text) > 0 ||
-         std::isupper(static_cast<unsigned char>(t.text[0])) != 0;
-}
-
-bool DeclLikeChunk(const std::vector<Token>& toks, std::size_t begin,
-                   std::size_t end) {
-  if (end < begin + 2) return false;
-  for (std::size_t j = begin; j < end; ++j) {
-    const Token& t = toks[j];
-    if (t.kind == TokKind::kString || t.kind == TokKind::kChar) return false;
-    if (IsPunct(t, ".")) return false;
-  }
-  if (!TypeishFirst(toks[begin])) return false;
-  const std::size_t eq = TopLevelEq(toks, begin, end);
-  if (eq < end) return eq > begin && IsIdent(toks[eq - 1]);
-  return IsIdent(toks[end - 1]);
-}
-
-// Splits the list at `open` into top-level comma chunk boundaries; returns
-// the matching ')' (or a bail-out point).
-std::size_t SplitChunks(const std::vector<Token>& toks, std::size_t open,
-                        std::vector<std::pair<std::size_t, std::size_t>>* c) {
-  int depth = 0;
-  std::size_t chunk_begin = open + 1;
-  std::size_t j = open;
-  for (; j < toks.size(); ++j) {
-    const Token& t = toks[j];
-    if (t.kind != TokKind::kPunct) continue;
-    if (t.text == "(" || t.text == "[" || t.text == "{") {
-      ++depth;
-    } else if (t.text == ")" || t.text == "]" || t.text == "}") {
-      if (--depth == 0) break;
-    } else if (t.text == "," && depth == 1) {
-      c->emplace_back(chunk_begin, j);
-      chunk_begin = j + 1;
-    } else if (t.text == ";" && depth <= 1) {
-      return j;
-    }
-  }
-  if (j > chunk_begin) c->emplace_back(chunk_begin, j);
-  return j;
-}
-
-struct FnDecls {
-  std::set<std::string> ret_types;  // "" = could not be determined
-  std::string file;
-  int line = 0;
-};
-
-// Return-type identifier of the declaration whose name sits at `i`,
-// skipping trailing `Class::` qualifier groups ("" when not a plain
-// identifier, e.g. a templated return type).
-std::string DeclReturnType(const std::vector<Token>& toks, std::size_t i) {
-  std::size_t p = i;
-  while (p >= 3 && IsPunct(toks[p - 1], ":") && IsPunct(toks[p - 2], ":") &&
-         IsIdent(toks[p - 3])) {
-    p -= 3;
-  }
-  if (p >= 1 && IsIdent(toks[p - 1])) return toks[p - 1].text;
-  return {};
-}
-
-// Harvests every declaration-shaped call head in the tree into a name ->
-// return-type-set registry. A name declared with several return types (the
-// token level has no receiver types) is flagged only if every one of them
-// is registered must-check — `void ThreadPool::Submit` shields the name
-// `Submit` while `SubmitBatch` stays enforced.
-std::map<std::string, FnDecls> HarvestDecls(const FactsTable& table) {
-  std::map<std::string, FnDecls> registry;
-  for (const TuFacts& file : table.Files()) {
-    const std::vector<Token>& toks = file.tokens;
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-      if (!IsCallHead(toks, i)) continue;
-      std::vector<std::pair<std::size_t, std::size_t>> chunks;
-      const std::size_t close = SplitChunks(toks, i + 1, &chunks);
-      if (chunks.empty()) continue;
-      const bool decl =
-          std::all_of(chunks.begin(), chunks.end(), [&](const auto& c) {
-            return DeclLikeChunk(toks, c.first, c.second);
-          });
-      if (!decl) continue;
-      FnDecls& entry = registry[toks[i].text];
-      if (entry.file.empty()) {
-        entry.file = file.path;
-        entry.line = toks[i].line;
-      }
-      entry.ret_types.insert(DeclReturnType(toks, i));
-      i = close;
-    }
-  }
-  return registry;
-}
-
-// Start of the call chain whose final call name sits at `i`: hops back over
-// `obj.`, `ptr->`, `ns::` and balanced `()`/`[]` groups. Returns toks.size()
-// when the receiver is too complex to classify (treated as not-a-discard).
-std::size_t ChainStart(const std::vector<Token>& toks, std::size_t i) {
-  std::size_t s = i;
-  for (int hops = 0; hops < 16; ++hops) {
-    if (s == 0) return 0;
-    std::size_t q;
-    if (IsPunct(toks[s - 1], ".")) {
-      q = s - 2;
-    } else if (s >= 2 && IsPunct(toks[s - 1], ">") &&
-               IsPunct(toks[s - 2], "-")) {
-      q = s - 3;
-    } else if (s >= 2 && IsPunct(toks[s - 1], ":") &&
-               IsPunct(toks[s - 2], ":")) {
-      q = s - 3;
-    } else {
-      return s;
-    }
-    if (q >= toks.size()) return toks.size();  // underflow: too complex
-    if (IsIdent(toks[q])) {
-      s = q;
-      continue;
-    }
-    if (IsPunct(toks[q], ")") || IsPunct(toks[q], "]")) {
-      const std::size_t open = MatchOpen(toks, q);
-      if (open == 0 || !IsIdent(toks[open - 1])) return toks.size();
-      s = open - 1;
-      continue;
-    }
-    return toks.size();
-  }
-  return toks.size();
-}
-
-// Whether the chain starting at `s` sits in statement position — i.e. its
-// value has nowhere to go. `(void)` casts and value contexts pass.
-bool StatementPosition(const std::vector<Token>& toks, std::size_t s) {
-  if (s == 0) return true;
-  const Token& p = toks[s - 1];
-  if (p.kind == TokKind::kIdent) return p.text == "else" || p.text == "do";
-  if (p.kind != TokKind::kPunct) return false;
-  if (p.text == ";" || p.text == "{" || p.text == "}") return true;
-  if (p.text == ")") {
-    const std::size_t open = MatchOpen(toks, s - 1);
-    // `(void)f()` is the sanctioned explicit discard.
-    if (open + 2 == s - 1 && IsIdent(toks[open + 1]) &&
-        toks[open + 1].text == "void") {
-      return false;
-    }
-    if (open >= 1 && IsIdent(toks[open - 1])) {
-      const std::string_view head = toks[open - 1].text;
-      return head == "if" || head == "while" || head == "for" ||
-             head == "switch";
-    }
-    return false;
-  }
-  return false;
-}
-
-void RunMustCheck(const FactsTable& table, const TrustSpec& spec,
-                  std::vector<Finding>& out) {
-  const std::map<std::string, FnDecls> registry = HarvestDecls(table);
-  for (const TuFacts& file : table.Files()) {
-    const std::vector<Token>& toks = file.tokens;
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-      if (!IsCallHead(toks, i)) continue;
-      const std::string& name = toks[i].text;
-      const auto decl = registry.find(name);
-      std::string why;
-      if (spec.nodiscard_fns.count(name) > 0) {
-        why = "declared must-check in trust.txt";
-      } else if (decl != registry.end() && !decl->second.ret_types.empty()) {
-        const bool all_registered = std::all_of(
-            decl->second.ret_types.begin(), decl->second.ret_types.end(),
-            [&](const std::string& rt) {
-              return !rt.empty() && spec.nodiscard_types.count(rt) > 0;
-            });
-        if (!all_registered) continue;
-        why = "returns " + *decl->second.ret_types.begin();
-      } else {
-        continue;
-      }
-      const std::size_t close = MatchClose(toks, i + 1);
-      if (close + 1 >= toks.size() || !IsPunct(toks[close + 1], ";")) {
-        continue;  // result is consumed (member access, operator, arg, ...)
-      }
-      const std::size_t s = ChainStart(toks, i);
-      if (s >= toks.size() || !StatementPosition(toks, s)) continue;
-      if (FactsTable::IsAllowed(file, toks[i].line, "must-check")) continue;
-      std::string where;
-      if (decl != registry.end()) {
-        where = ", declared at " + decl->second.file + ":" +
-                std::to_string(decl->second.line);
-      }
-      out.push_back({file.path, toks[i].line, "must-check", Severity::kError,
-                     "result of '" + name + "' (" + why + where +
-                         ") is silently discarded; use it, assert on it, or "
-                         "cast to (void) with a comment"});
-    }
-  }
-}
-
 // ---- hot-path pass ---------------------------------------------------------
 
 const std::set<std::string, std::less<>>& HotAllocWords() {
@@ -1020,20 +799,14 @@ TrustSpec ParseTrustSpec(std::string_view text, std::string* error) {
       spec.guards.insert(name);
     } else if (word == "time-const") {
       spec.time_consts.insert(name);
-    } else if (word == "nodiscard") {
-      spec.nodiscard_types.insert(name);
-    } else if (word == "nodiscard-fn") {
-      spec.nodiscard_fns.insert(name);
     } else {
       return fail("unrecognized directive '" + word + "'");
     }
   }
   spec.loaded = !spec.sources.empty() || !spec.taints.empty() ||
-                !spec.fields.empty() || !spec.nodiscard_types.empty() ||
-                !spec.nodiscard_fns.empty();
+                !spec.fields.empty();
   if (!spec.loaded && error != nullptr && error->empty()) {
-    *error = "trust spec declares no sources, taints, fields, or "
-             "must-check names";
+    *error = "trust spec declares no sources, taints, or fields";
   }
   return spec;
 }
@@ -1056,14 +829,6 @@ void RunTrustPass(const FactsTable& table, const TrustSpec& spec,
   for (const TuFacts& file : table.Files()) {
     CheckFileTrust(file, spec, found);
   }
-  SortUnique(found, out);
-}
-
-void RunMustCheckPass(const FactsTable& table, const TrustSpec& spec,
-                      std::vector<Finding>& out) {
-  if (!spec.loaded) return;
-  std::vector<Finding> found;
-  RunMustCheck(table, spec, found);
   SortUnique(found, out);
 }
 

@@ -2,8 +2,8 @@
 // bug the serving-plane review caught was the same shape — bytes from an
 // untrusted peer (a decoded day near INT64_MAX, an unclamped length, an
 // unbounded count) flowing unchecked into arithmetic, loop bounds, or
-// allocation sizes. This tier makes that bug class a lint error. Three
-// interlocking passes, all driven by tools/manic_lint/trust.txt:
+// allocation sizes. This tier makes that bug class a lint error. Two
+// passes; the taint pass is driven by tools/manic_lint/trust.txt:
 //
 //   trust       (error)  per-file taint dataflow. The spec declares where
 //                         untrusted data enters (decoder calls, wire-struct
@@ -17,14 +17,6 @@
 //                         time constant — with no sanitizing evidence
 //                         anywhere in the file is an error carrying the full
 //                         flow chain, units-pass style.
-//   must-check  (error)  a registry of status-like return types (and named
-//                         bool-returning functions) whose call-site discard
-//                         is an error. Functions are harvested from the
-//                         whole tree's declarations; a name also declared
-//                         with an unregistered return type is ambiguous and
-//                         skipped (token-level analysis has no receiver
-//                         types). `(void)f(...)` is an explicit discard and
-//                         passes.
 //   hot-path    (error)  `// manic-lint: hot-path(begin)` ... `hot-path(end)`
 //                         comment regions fence the per-sample ingest code;
 //                         inside them heap allocation, locking, and syscall
@@ -46,12 +38,13 @@
 //                      the compared value (e.g. kMaxAbsSampleDay, size)
 //   time-const <ident> multiplying a tainted value by <ident> is the
 //                      day/time-arithmetic sink (e.g. kSecPerDay)
-//   nodiscard <Type>   functions declared to return <Type> are must-check
-//   nodiscard-fn <fn>  <fn> itself is must-check (for bool returns)
 //
-// Suppression: `// manic-lint: allow(trust)`, `allow(must-check)`,
-// `allow(hot-path)` — same line-or-line-above contract, same audit, as
-// every other pass.
+// Must-check outcomes are not a lint pass: status-like results carry
+// [[nodiscard]] and every target builds with -Werror=unused-result, so the
+// compiler rejects a silent discard (tests/compile_fail/ proves it).
+//
+// Suppression: `// manic-lint: allow(trust)`, `allow(hot-path)` — same
+// line-or-line-above contract, same audit, as every other pass.
 #pragma once
 
 #include <set>
@@ -73,8 +66,6 @@ struct TrustSpec {
   std::vector<std::string> sanitizer_prefixes;     // from trailing-'*' names
   std::set<std::string, std::less<>> guards;       // bound constants
   std::set<std::string, std::less<>> time_consts;  // day/time scale idents
-  std::set<std::string, std::less<>> nodiscard_types;
-  std::set<std::string, std::less<>> nodiscard_fns;
   bool loaded = false;
 
   // True when `path` (normalized) lies inside a declared trust boundary.
@@ -93,12 +84,6 @@ TrustSpec LoadTrustSpec(const std::string& path, std::string* error);
 // The taint pass: per-file source->sink dataflow (rule "trust").
 void RunTrustPass(const FactsTable& table, const TrustSpec& spec,
                   std::vector<Finding>& out);
-
-// The discard pass: statement-position calls of must-check functions
-// (rule "must-check"). The registry is harvested across the whole table, so
-// a discard in tests/ of a function declared in src/ is caught.
-void RunMustCheckPass(const FactsTable& table, const TrustSpec& spec,
-                      std::vector<Finding>& out);
 
 // The hot-path contract pass (rule "hot-path"). Runs off the markers in
 // TuFacts::hot_markers; needs no spec and always runs.
