@@ -1,5 +1,5 @@
 // The deterministic fork/join skeleton of the parallel study engine. A study
-// is cut into shards keyed by stable identifiers ((VP, link, month-chunk) in
+// is cut into shards keyed by stable identifiers ((link, month-chunk) in
 // the longitudinal driver); every shard's `work` runs concurrently on the
 // pool and writes only to buffers it owns, then every shard's `merge` runs
 // on the calling thread in ascending key order. Because the merge order is a
@@ -24,9 +24,10 @@ struct RuntimeOptions {
   // 1 = the serial reference path (no pool); 0 = hardware_concurrency;
   // N > 1 = sharded execution on N workers.
   int threads = 1;
-  // Shard granularity: 0 = one shard per (VP, link) pair spanning the whole
-  // study window; N > 0 = additionally split each pair into N-month chunks
-  // (finer load balancing, ~window/30 days of warmup replay per extra chunk).
+  // Shard granularity: 0 = one shard per link, holding all of the link's
+  // (VP, link) pairs, spanning the whole study window; N > 0 = additionally
+  // split each link into N-month chunks (finer load balancing, ~window/30
+  // days of warmup replay per extra chunk).
   int months_per_shard = 0;
   // Optional observability sink (counters + per-phase timing); must outlive
   // the study run. Null = metrics are discarded.

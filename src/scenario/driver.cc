@@ -31,13 +31,54 @@ TslpSynthesizer::TslpSynthesizer(sim::SimNetwork& net, topo::LinkId link,
       noise_key_(noise_key),
       config_(config) {}
 
+int TslpSynthesizer::Intervals() const {
+  return static_cast<int>(kSecPerDay / config_.bin_width);
+}
+
+// TSLP probes every 5 minutes.
+int TslpSynthesizer::RoundsPerBin() const {
+  return std::max(1, static_cast<int>(config_.bin_width / 300));
+}
+
 void TslpSynthesizer::Day(std::int64_t day, std::vector<float>& far,
                           std::vector<float>& near) const {
-  const int intervals = static_cast<int>(kSecPerDay / config_.bin_width);
+  std::vector<Round> rounds;
+  LinkRounds(day, rounds);
+  PairDay(day, rounds, far, near);
+}
+
+void TslpSynthesizer::LinkRounds(std::int64_t day,
+                                 std::vector<Round>& rounds) const {
+  const int intervals = Intervals();
+  const int per_bin = RoundsPerBin();
+  // Each round carries its share of the bin's probes.
+  const double samples_per_round =
+      static_cast<double>(config_.samples_per_bin) / per_bin;
+  rounds.resize(static_cast<std::size_t>(intervals) *
+                static_cast<std::size_t>(per_bin));
+  const TimeSec day_start = day * kSecPerDay;
+  std::size_t i = 0;
+  for (int s = 0; s < intervals; ++s) {
+    for (int k = 0; k < per_bin; ++k, ++i) {
+      const TimeSec tk = day_start + s * config_.bin_width + k * 300;
+      // The far-side reply rides the congested content->access queue.
+      const sim::QueueObservation obs =
+          net_->ObservedQueue(link_, Direction::kBtoA, tk);
+      rounds[i] = {obs.delay_ms, std::pow(obs.loss_prob, samples_per_round)};
+    }
+  }
+}
+
+void TslpSynthesizer::PairDay(std::int64_t day, std::span<const Round> rounds,
+                              std::vector<float>& far,
+                              std::vector<float>& near) const {
+  const int intervals = Intervals();
+  const int per_bin = RoundsPerBin();
   far.assign(static_cast<std::size_t>(intervals),
              std::numeric_limits<float>::quiet_NaN());
   near.assign(static_cast<std::size_t>(intervals),
               std::numeric_limits<float>::quiet_NaN());
+  if (rounds.size() != far.size() * static_cast<std::size_t>(per_bin)) return;
   const TimeSec day_start = day * kSecPerDay;
   // VP-scoped faults only apply when the synthesizer knows which VP it
   // stands in for; a null hook leaves every branch below untaken, so a
@@ -53,25 +94,22 @@ void TslpSynthesizer::Day(std::int64_t day, std::vector<float>& far,
     const double jitter_near =
         config_.jitter_ms * stats::Rng::HashToUnit(noise_key_, t, 0xE) /
         config_.samples_per_bin;
-    // TSLP probes every 5 minutes and the bin keeps the *minimum*, so at
-    // regime edges (queue ramping within the bin) the minimum of the
-    // constituent rounds is what the real measurement records. Mirror that:
-    // evaluate the queue at each 5-minute round inside the bin and keep the
-    // smallest. The far-side reply rides the congested content->access queue.
+    // The bin keeps the *minimum*, so at regime edges (queue ramping within
+    // the bin) the minimum of the constituent rounds is what the real
+    // measurement records. Mirror that: keep the smallest round's queue.
     // Rounds where the VP is down send nothing: they contribute neither to
     // the bin minimum nor to the all-lost probability.
     double queue = std::numeric_limits<double>::infinity();
     double p_all_lost = 1.0;
-    const int rounds = std::max(1, static_cast<int>(config_.bin_width / 300));
     int rounds_up = 0;
-    for (int k = 0; k < rounds; ++k) {
+    const Round* bin_rounds =
+        rounds.data() + static_cast<std::size_t>(s) * per_bin;
+    for (int k = 0; k < per_bin; ++k) {
       const TimeSec tk = day_start + s * config_.bin_width + k * 300;
       if (hook != nullptr && !hook->VpUpAt(vp_, tk)) continue;
       ++rounds_up;
-      const sim::QueueObservation obs =
-          net_->ObservedQueue(link_, Direction::kBtoA, tk);
-      queue = std::min(queue, obs.delay_ms);
-      p_all_lost *= std::pow(obs.loss_prob, config_.samples_per_bin / rounds);
+      queue = std::min(queue, bin_rounds[k].delay_ms);
+      p_all_lost *= bin_rounds[k].p_lost;
     }
     if (rounds_up == 0) continue;  // VP down for the whole bin: both missing
     if (stats::Rng::HashToUnit(noise_key_, t, 0xA) >
@@ -128,8 +166,9 @@ namespace {
 
 // A VP-link pair as the daily loop consumes it. `synth` only reads the
 // network through const, stateless accessors, so many shards may evaluate
-// their pairs concurrently once discovery (which does mutate the network)
-// has finished.
+// their links concurrently once discovery (which does mutate the network)
+// has finished. All pairs of one link share its LinkRounds and, because
+// visibility churn is keyed per link, its visibility window.
 struct VpLink {
   TslpSynthesizer synth;
   std::string vp_name;
@@ -215,6 +254,20 @@ std::vector<VpLink> DiscoverPairs(UsBroadband& world,
     }
   }
   return pairs;
+}
+
+// Pair indices grouped by the link they observe: links ascending, pairs in
+// discovery order within a link.
+std::vector<std::vector<std::size_t>> PairsByLink(
+    const std::vector<VpLink>& pairs) {
+  std::map<topo::LinkId, std::vector<std::size_t>> by_link;
+  for (std::size_t p = 0; p < pairs.size(); ++p) {
+    by_link[pairs[p].info->link].push_back(p);
+  }
+  std::vector<std::vector<std::size_t>> groups;
+  groups.reserve(by_link.size());
+  for (auto& [link, members] : by_link) groups.push_back(std::move(members));
+  return groups;
 }
 
 // Fig 9 (Comcast, calendar year 2017): congested 15-minute intervals by
@@ -349,12 +402,15 @@ void RunDailyLoopSerial(UsBroadband& world, const StudyOptions& options,
 }
 
 // ---- the sharded path -------------------------------------------------------
-// Shard = one (VP, link) pair, optionally split into month-sized day chunks.
-// Each shard synthesizes and classifies its own day range into a private
-// buffer (replaying up to window_days - 1 preceding days to warm the rolling
-// window, whose state is a pure function of its last window_days inputs);
-// buffers are folded in (pair, chunk) key order, which reproduces the serial
-// loop's floating-point accumulation order exactly.
+// Shard = one link with all of its (VP, link) pairs, optionally split into
+// month-sized day chunks. Each shard evaluates the link's rounds once per
+// day, then synthesizes and classifies every pair's row into that pair's
+// private buffer (replaying up to window_days - 1 preceding days to warm
+// the rolling window, whose state is a pure function of its last
+// window_days inputs). Each pair's buffers are folded into its own series
+// in chunk order, and the aggregate reads the series day-outer, pair-inner,
+// which reproduces the serial loop's floating-point accumulation order
+// exactly.
 
 struct DayOutcome {
   bool recurring = false;
@@ -368,10 +424,12 @@ struct PairOut {
   QualityTally quality;
 };
 
-// Shard checkpoint blobs. Everything is integers or bit-cast doubles, so a
+// Shard checkpoint blobs: the version, the link's pair count, then one
+// PairOut per pair. Everything is integers or bit-cast doubles, so a
 // restored PairOut is the same bytes the worker produced — resume equals
-// rerun exactly. The version guard makes stale logs recompute, not crash.
-constexpr std::uint64_t kShardBlobVersion = 1;
+// rerun exactly. The version guard makes stale logs recompute, not crash:
+// version 1 held one pair's PairOut per (VP, link) shard.
+constexpr std::uint64_t kShardBlobVersion = 2;
 
 void SaveHist(runtime::BlobWriter& w,
               const analysis::TimeOfDayHistogram& hist) {
@@ -391,9 +449,7 @@ bool RestoreHist(runtime::BlobReader& r, analysis::TimeOfDayHistogram& hist) {
   return true;
 }
 
-std::string SavePairOut(const PairOut& out) {
-  runtime::BlobWriter w;
-  w.PutU64(kShardBlobVersion);
+void SavePairOut(runtime::BlobWriter& w, const PairOut& out) {
   w.PutI64(out.emit_start);
   w.PutU64(out.days.size());
   for (const DayOutcome& d : out.days) {
@@ -415,41 +471,62 @@ std::string SavePairOut(const PairOut& out) {
   w.PutU64((q.any_bin ? 1u : 0u) | (q.has_days ? 2u : 0u) |
            (q.first_day_observed ? 4u : 0u) |
            (q.last_day_observed ? 8u : 0u));
-  return w.Take();
 }
 
-bool RestorePairOut(const std::string& blob, PairOut& out) {
-  runtime::BlobReader r(blob);
-  std::uint64_t version = 0;
-  if (!r.GetU64(&version) || version != kShardBlobVersion) return false;
-  PairOut restored;
-  if (!r.GetI64(&restored.emit_start)) return false;
+bool RestorePairOut(runtime::BlobReader& r, PairOut& out) {
+  if (!r.GetI64(&out.emit_start)) return false;
   std::uint64_t n_days = 0;
   if (!r.GetU64(&n_days) || n_days > (1u << 24)) return false;
-  restored.days.reserve(static_cast<std::size_t>(n_days));
+  out.days.reserve(static_cast<std::size_t>(n_days));
   for (std::uint64_t i = 0; i < n_days; ++i) {
     std::uint64_t recurring = 0;
     DayOutcome d;
     if (!r.GetU64(&recurring) || !r.GetDouble(&d.fraction)) return false;
     d.recurring = recurring != 0;
-    restored.days.push_back(d);
+    out.days.push_back(d);
   }
-  if (!RestoreHist(r, restored.vp_hist)) return false;
-  if (!RestoreHist(r, restored.pacific_hist)) return false;
-  QualityTally& q = restored.quality;
+  if (!RestoreHist(r, out.vp_hist)) return false;
+  if (!RestoreHist(r, out.pacific_hist)) return false;
+  QualityTally& q = out.quality;
   std::uint64_t flags = 0;
   if (!r.GetI64(&q.far_present) || !r.GetI64(&q.far_total) ||
       !r.GetI64(&q.near_present) || !r.GetI64(&q.near_total) ||
       !r.GetI64(&q.prefix_gap) || !r.GetI64(&q.suffix_gap) ||
       !r.GetI64(&q.max_gap) || !r.GetI64(&q.days_observed) ||
-      !r.GetI64(&q.churn) || !r.GetU64(&flags) || !r.AtEnd()) {
+      !r.GetI64(&q.churn) || !r.GetU64(&flags)) {
     return false;
   }
   q.any_bin = (flags & 1u) != 0;
   q.has_days = (flags & 2u) != 0;
   q.first_day_observed = (flags & 4u) != 0;
   q.last_day_observed = (flags & 8u) != 0;
-  out = std::move(restored);
+  return true;
+}
+
+std::string SaveLinkOut(const std::vector<PairOut>& outs) {
+  runtime::BlobWriter w;
+  w.PutU64(kShardBlobVersion);
+  w.PutU64(outs.size());
+  for (const PairOut& out : outs) SavePairOut(w, out);
+  return w.Take();
+}
+
+// Restores all of a link's PairOuts, or none: `outs` keeps its contents
+// unless the whole blob parses and holds exactly outs.size() pairs.
+bool RestoreLinkOut(const std::string& blob, std::vector<PairOut>& outs) {
+  runtime::BlobReader r(blob);
+  std::uint64_t version = 0;
+  std::uint64_t n_pairs = 0;
+  if (!r.GetU64(&version) || version != kShardBlobVersion ||
+      !r.GetU64(&n_pairs) || n_pairs != outs.size()) {
+    return false;
+  }
+  std::vector<PairOut> restored(outs.size());
+  for (PairOut& out : restored) {
+    if (!RestorePairOut(r, out)) return false;
+  }
+  if (!r.AtEnd()) return false;
+  outs = std::move(restored);
   return true;
 }
 
@@ -465,7 +542,7 @@ void RunDailyLoopSharded(UsBroadband& world, const StudyOptions& options,
   runtime::ThreadPool pool(options.runtime.ResolvedThreads(), &metrics);
   runtime::StudyExecutor executor(pool, &metrics);
 
-  // ---- phase: synthesize + classify, one shard per (pair, month chunk) ----
+  // ---- phase: synthesize + classify, one shard per (link, month chunk) ----
   std::vector<PairOut> merged(pairs.size());
   {
     auto timer = metrics.Phase("classify");
@@ -473,59 +550,83 @@ void RunDailyLoopSharded(UsBroadband& world, const StudyOptions& options,
         options.runtime.months_per_shard > 0
             ? static_cast<std::int64_t>(options.runtime.months_per_shard) * 30
             : std::numeric_limits<std::int64_t>::max();
+    const std::int64_t warm_days =
+        static_cast<std::int64_t>(options.autocorr.window_days - 1);
 
+    const std::vector<std::vector<std::size_t>> link_groups =
+        PairsByLink(pairs);
     std::vector<runtime::StudyExecutor::Shard> shards;
-    std::vector<std::unique_ptr<PairOut>> outputs;
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
-      const VpLink& pair = pairs[p];
-      const std::int64_t begin = pair.visible_from;
-      const std::int64_t end =
-          std::min<std::int64_t>(pair.visible_until, days);
+    std::vector<std::unique_ptr<std::vector<PairOut>>> outputs;
+    for (std::size_t g = 0; g < link_groups.size(); ++g) {
+      const std::vector<std::size_t>& members = link_groups[g];
+      // The span of days any of the link's pairs is visible.
+      std::int64_t begin = std::numeric_limits<std::int64_t>::max();
+      std::int64_t end = std::numeric_limits<std::int64_t>::min();
+      for (const std::size_t p : members) {
+        begin = std::min(begin, pairs[p].visible_from);
+        end = std::max(end, pairs[p].visible_until);
+      }
+      end = std::min<std::int64_t>(end, days);
       std::int64_t c0 = begin;
       for (std::uint64_t chunk = 0; c0 < end; ++chunk) {
         const std::int64_t c1 =
             c0 > end - chunk_days ? end : c0 + chunk_days;  // overflow-safe
-        auto out = std::make_unique<PairOut>();
-        PairOut* buffer = out.get();
+        auto out = std::make_unique<std::vector<PairOut>>(members.size());
+        std::vector<PairOut>* buffer = out.get();
         outputs.push_back(std::move(out));
         shards.push_back(runtime::StudyExecutor::Shard{
-            (static_cast<std::uint64_t>(p) << 16) | chunk,
-            [&options, &pair, buffer, c0, c1] {
-              infer::RollingAutocorr rolling(options.autocorr);
+            (static_cast<std::uint64_t>(g) << 16) | chunk,
+            [&options, &pairs, &members, buffer, c0, c1, warm_days] {
+              std::vector<infer::RollingAutocorr> rolling(
+                  members.size(), infer::RollingAutocorr(options.autocorr));
+              std::vector<TslpSynthesizer::Round> rounds;
               std::vector<float> far_row, near_row;
-              const std::int64_t replay_from = std::max(
-                  pair.visible_from,
-                  c0 - static_cast<std::int64_t>(
-                           options.autocorr.window_days - 1));
-              for (std::int64_t day = replay_from; day < c1; ++day) {
-                pair.synth.Day(day, far_row, near_row);
-                rolling.AddDay(far_row, near_row);
-                if (day >= c0 && day >= 0) {
-                  buffer->quality.AddDay(far_row, near_row);
-                }
-                if (day < c0 || day < 0 || !rolling.WindowFull()) continue;
-                if (buffer->days.empty()) buffer->emit_start = day;
-                const infer::DayClassification cls = rolling.Classify();
-                buffer->days.push_back(
-                    {cls.recurring, cls.recurring ? cls.fraction : 0.0});
-                if (Fig9Eligible(pair, cls, day)) {
-                  AddFig9Intervals(pair, cls, day, options.autocorr.bin_width,
-                                   buffer->vp_hist, buffer->pacific_hist);
+              const TslpSynthesizer& link_synth = pairs[members.front()].synth;
+              for (std::int64_t day = c0 - warm_days; day < c1; ++day) {
+                bool have_rounds = false;
+                for (std::size_t i = 0; i < members.size(); ++i) {
+                  const VpLink& pair = pairs[members[i]];
+                  if (day < pair.visible_from || day >= pair.visible_until) {
+                    continue;
+                  }
+                  if (!have_rounds) {
+                    link_synth.LinkRounds(day, rounds);
+                    have_rounds = true;
+                  }
+                  pair.synth.PairDay(day, rounds, far_row, near_row);
+                  rolling[i].AddDay(far_row, near_row);
+                  PairOut& out = (*buffer)[i];
+                  if (day >= c0 && day >= 0) {
+                    out.quality.AddDay(far_row, near_row);
+                  }
+                  if (day < c0 || day < 0 || !rolling[i].WindowFull()) continue;
+                  if (out.days.empty()) out.emit_start = day;
+                  const infer::DayClassification cls = rolling[i].Classify();
+                  out.days.push_back(
+                      {cls.recurring, cls.recurring ? cls.fraction : 0.0});
+                  if (Fig9Eligible(pair, cls, day)) {
+                    AddFig9Intervals(pair, cls, day,
+                                     options.autocorr.bin_width, out.vp_hist,
+                                     out.pacific_hist);
+                  }
                 }
               }
             },
-            [&merged, p, buffer] {
-              PairOut& dst = merged[p];
-              if (dst.days.empty()) dst.emit_start = buffer->emit_start;
-              dst.days.insert(dst.days.end(), buffer->days.begin(),
-                              buffer->days.end());
-              dst.vp_hist.Merge(buffer->vp_hist);
-              dst.pacific_hist.Merge(buffer->pacific_hist);
-              dst.quality.Append(buffer->quality);
+            [&merged, &members, buffer] {
+              for (std::size_t i = 0; i < members.size(); ++i) {
+                const PairOut& src = (*buffer)[i];
+                PairOut& dst = merged[members[i]];
+                if (dst.days.empty()) dst.emit_start = src.emit_start;
+                dst.days.insert(dst.days.end(), src.days.begin(),
+                                src.days.end());
+                dst.vp_hist.Merge(src.vp_hist);
+                dst.pacific_hist.Merge(src.pacific_hist);
+                dst.quality.Append(src.quality);
+              }
             },
-            [buffer] { return SavePairOut(*buffer); },
+            [buffer] { return SaveLinkOut(*buffer); },
             [buffer](const std::string& blob) {
-              return RestorePairOut(blob, *buffer);
+              return RestoreLinkOut(blob, *buffer);
             }});
         c0 = c1;
       }
@@ -727,12 +828,28 @@ void ExportStudyStream(UsBroadband& world, const StudyOptions& options,
       DiscoverPairs(world, options, days, warmup, observed_links);
 
   // Day-major, pair-minor: the daily loop's exact consumption order, so a
-  // stream consumer sees day boundaries the way the batch loop does.
+  // stream consumer sees day boundaries the way the batch loop does. Each
+  // link's rounds are evaluated once per day, by the first of its pairs
+  // that is visible, and reused by the rest.
+  const std::vector<std::vector<std::size_t>> link_groups = PairsByLink(pairs);
+  std::vector<std::size_t> group_of(pairs.size());
+  for (std::size_t g = 0; g < link_groups.size(); ++g) {
+    for (const std::size_t p : link_groups[g]) group_of[p] = g;
+  }
+  std::vector<std::vector<TslpSynthesizer::Round>> rounds(link_groups.size());
+  std::vector<std::int64_t> rounds_day(link_groups.size(),
+                                       std::numeric_limits<std::int64_t>::min());
   std::vector<float> far_row, near_row;
   for (std::int64_t day = -warmup; day < days; ++day) {
-    for (const VpLink& pair : pairs) {
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      const VpLink& pair = pairs[p];
       if (day < pair.visible_from || day >= pair.visible_until) continue;
-      pair.synth.Day(day, far_row, near_row);
+      const std::size_t g = group_of[p];
+      if (rounds_day[g] != day) {
+        pair.synth.LinkRounds(day, rounds[g]);
+        rounds_day[g] = day;
+      }
+      pair.synth.PairDay(day, rounds[g], far_row, near_row);
       fn(pair.vp, pair.info->link, day, far_row, near_row);
     }
   }

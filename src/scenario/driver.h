@@ -26,7 +26,11 @@
 namespace manic::scenario {
 
 // Synthesizes per-day near/far 15-minute minimum-RTT rows for one
-// (VP, border link) pair directly from the link's demand model.
+// (VP, border link) pair directly from the link's demand model. A day is two
+// steps: LinkRounds evaluates the link's far-side queue at every 5-minute
+// probing round, which depends on the link alone, and PairDay turns those
+// rounds into this pair's rows (VP outages, jitter, missing bins, dropped
+// writes). Every VP that sees a link can therefore share one LinkRounds.
 class TslpSynthesizer {
  public:
   struct Config {
@@ -34,6 +38,14 @@ class TslpSynthesizer {
     int samples_per_bin = 6;          // TSLP probes contributing a bin's min
     double jitter_ms = 0.25;          // spread of the per-bin minimum
     stats::TimeSec bin_width = 900;
+  };
+
+  // One probing round of the link's content->access queue: the queueing
+  // delay a probe sees, and the probability that all of the bin's probes
+  // sent in this round are lost.
+  struct Round {
+    double delay_ms = 0.0;
+    double p_lost = 0.0;
   };
 
   TslpSynthesizer(sim::SimNetwork& net, topo::LinkId link,
@@ -67,11 +79,26 @@ class TslpSynthesizer {
       : TslpSynthesizer(net, vp, link, base_far_rtt_ms, base_near_rtt_ms,
                         noise_key, Config{}) {}
 
-  // Fills `far` / `near` (each intervals-per-day long) for epoch day `day`.
+  // Fills `far` / `near` (each intervals-per-day long) for epoch day `day`:
+  // LinkRounds, then PairDay.
   void Day(std::int64_t day, std::vector<float>& far,
            std::vector<float>& near) const;
 
+  // Fills `rounds` with the link's rounds for epoch day `day`, bin-major
+  // (intervals x rounds-per-bin). A function of the link, the network and
+  // the config only: any synthesizer of the same link and config fills the
+  // same rounds, whichever VP it stands in for.
+  void LinkRounds(std::int64_t day, std::vector<Round>& rounds) const;
+
+  // Fills `far` / `near` for epoch day `day` from that day's LinkRounds
+  // (rounds of another length, i.e. another config's, give a missing day).
+  void PairDay(std::int64_t day, std::span<const Round> rounds,
+               std::vector<float>& far, std::vector<float>& near) const;
+
  private:
+  int Intervals() const;
+  int RoundsPerBin() const;
+
   sim::SimNetwork* net_ = nullptr;
   topo::LinkId link_ = 0;
   double base_far_ = 0.0;

@@ -4,10 +4,14 @@
 // congestion with high ground-truth accuracy.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+
 #include "analysis/classify.h"
 #include "bdrmap/bdrmap.h"
 #include "scenario/driver.h"
 #include "scenario/small.h"
+#include "sim/fault_hook.h"
 #include "tslp/tslp.h"
 
 namespace manic::scenario {
@@ -85,6 +89,100 @@ TEST(TslpSynthesizer, MatchesRealProbingOnTheSmallScenario) {
   if (from_real.recurring) {
     EXPECT_NEAR(from_real.window_start, from_synth.window_start, 2);
   }
+}
+
+// One VP's faults: it is down for the first 40 minutes of every two hours
+// (two whole 15-minute bins and two of the third bin's three rounds), and
+// every fifth bin's tsdb writes are lost. Other VPs see no fault.
+class OneVpFaults : public sim::FaultHook {
+ public:
+  explicit OneVpFaults(topo::VpId vp) : vp_(vp) {}
+  bool VpUpAt(topo::VpId vp, stats::TimeSec t) const override {
+    return vp != vp_ || t % 7200 >= 2400;
+  }
+  bool DropTsdbWriteAt(topo::VpId vp, stats::TimeSec t,
+                       std::uint64_t /*noise*/) const override {
+    return vp == vp_ && (t / 900) % 5 == 0;
+  }
+
+ private:
+  topo::VpId vp_ = 0;
+};
+
+// Bitwise, so NaN (a missing bin) equals NaN.
+std::vector<std::uint32_t> Bits(const std::vector<float>& row) {
+  std::vector<std::uint32_t> bits;
+  for (const float v : row) bits.push_back(std::bit_cast<std::uint32_t>(v));
+  return bits;
+}
+
+int PresentBins(const std::vector<float>& row) {
+  int n = 0;
+  for (const float v : row) n += std::isnan(v) ? 0 : 1;
+  return n;
+}
+
+// The study shares one link-day's rounds across every VP that sees the
+// link. Each VP's pair step over those shared rounds must give exactly the
+// rows its own Day() gives, with its own outages and dropped writes applied.
+TEST(TslpSynthesizer, PairStepOverSharedRoundsMatchesDay) {
+  const topo::VpId faulted_vp = 1;
+  const OneVpFaults faults(faulted_vp);
+  auto s = MakeSmallScenario();
+  s.net->SetFaultHook(&faults);
+  const TslpSynthesizer clean(*s.net, s.vp, s.peering_nyc, 20.0, 10.0, 11);
+  const TslpSynthesizer faulted(*s.net, faulted_vp, s.peering_nyc, 25.0, 12.0,
+                                22);
+  std::vector<TslpSynthesizer::Round> shared, own;
+  std::vector<float> far, near, day_far, day_near;
+  double peak_delay_ms = 0.0;
+  int clean_far = 0, faulted_far = 0;
+  for (std::int64_t day = 0; day < 2; ++day) {
+    clean.LinkRounds(day, shared);
+    ASSERT_EQ(shared.size(), 96u * 3u);
+    // The link step does not depend on which of the link's synthesizers
+    // computes it.
+    faulted.LinkRounds(day, own);
+    ASSERT_EQ(own.size(), shared.size());
+    for (std::size_t i = 0; i < shared.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(own[i].delay_ms),
+                std::bit_cast<std::uint64_t>(shared[i].delay_ms));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(own[i].p_lost),
+                std::bit_cast<std::uint64_t>(shared[i].p_lost));
+      peak_delay_ms = std::max(peak_delay_ms, shared[i].delay_ms);
+    }
+    for (const TslpSynthesizer* synth : {&clean, &faulted}) {
+      synth->PairDay(day, shared, far, near);
+      synth->Day(day, day_far, day_near);
+      EXPECT_EQ(Bits(far), Bits(day_far)) << "day " << day;
+      EXPECT_EQ(Bits(near), Bits(day_near)) << "day " << day;
+    }
+    clean.Day(day, far, near);
+    clean_far += PresentBins(far);
+    faulted.Day(day, far, near);
+    faulted_far += PresentBins(far);
+  }
+  // Not vacuous: the link queues in its congested evenings, and the faulted
+  // VP's outages and drops cost it bins the other VP keeps.
+  EXPECT_GT(peak_delay_ms, 1.0);
+  EXPECT_LT(faulted_far + 60, clean_far);
+  s.net->SetFaultHook(nullptr);
+}
+
+// An hour-wide bin holds twelve 5-minute rounds, each carrying half of the
+// bin's six probes. The per-round loss exponent must stay fractional: an
+// integer 6 / 12 = 0 made every bin's all-lost probability 1, so no far bin
+// was ever present.
+TEST(TslpSynthesizer, HourBinsOnAnUncongestedLinkHaveFarBins) {
+  auto s = MakeSmallScenario();
+  TslpSynthesizer::Config config;
+  config.bin_width = 3600;
+  const TslpSynthesizer synth(*s.net, s.peering_lax, 20.0, 10.0, 5, config);
+  std::vector<float> far, near;
+  synth.Day(0, far, near);
+  ASSERT_EQ(far.size(), 24u);
+  EXPECT_GE(PresentBins(far), 20);
+  EXPECT_GE(PresentBins(near), 20);
 }
 
 class ReducedStudyTest : public ::testing::Test {

@@ -14,6 +14,8 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -330,13 +332,37 @@ std::uint64_t Fnv1a(const std::string& bytes) {
   return h;
 }
 
-std::uint64_t GoldenStudyDigest(const sim::faults::FaultPlan* plan) {
+scenario::StudyResult RunGoldenStudy(const sim::faults::FaultPlan* plan,
+                                     int threads = 1,
+                                     int months_per_shard = 0) {
   scenario::UsBroadband world = scenario::MakeUsBroadband();
   scenario::StudyOptions options;
   options.days = 120;
   options.max_vps = 3;
   options.fault_plan = plan;
-  return Fnv1a(Dump(scenario::RunLongitudinalStudy(world, options)));
+  options.runtime.threads = threads;
+  options.runtime.months_per_shard = months_per_shard;
+  return scenario::RunLongitudinalStudy(world, options);
+}
+
+std::uint64_t GoldenStudyDigest(const sim::faults::FaultPlan* plan) {
+  return Fnv1a(Dump(RunGoldenStudy(plan)));
+}
+
+// small_chaos.plan plus two outages of link 208. The plan's link faults hit
+// links 5 and 12, which the golden study does not observe, so two outages
+// of link 208, which VP 0 observes, are added. Ten minutes from 04:00 UTC
+// on day 18, inside the link's daily congestion, leave a bin whose minimum
+// is a down round's empty queue. Days 60-99 lose every far bin, so the
+// link's window fails the usable-data guard near the end of the outage.
+std::optional<sim::faults::FaultPlan> GoldenChaosPlan(std::string* error) {
+  auto plan = sim::faults::FaultPlan::ParseFile(
+      std::string(MANIC_SOURCE_DIR) + "/examples/fault_plans/small_chaos.plan",
+      error);
+  if (!plan.has_value()) return plan;
+  plan->LinkDown(208, 18 * 86400 + 4 * 3600, 18 * 86400 + 4 * 3600 + 600);
+  plan->LinkDown(208, 60 * 86400, 100 * 86400);
+  return plan;
 }
 
 // The determinism tests above compare runs of one build; these pin a
@@ -350,19 +376,63 @@ TEST(StudyGolden, FaultFreeDigestIsPinned) {
 
 TEST(StudyGolden, SmallChaosDigestIsPinned) {
   std::string error;
-  auto plan = sim::faults::FaultPlan::ParseFile(
-      std::string(MANIC_SOURCE_DIR) + "/examples/fault_plans/small_chaos.plan",
-      &error);
+  const auto plan = GoldenChaosPlan(&error);
   ASSERT_TRUE(plan.has_value()) << error;
-  // The plan's link faults hit links 5 and 12, which this study does not
-  // observe, so two outages of link 208, which VP 0 observes, are added.
-  // Ten minutes from 04:00 UTC on day 18, inside the link's daily
-  // congestion, leave a bin whose minimum is a down round's empty queue.
-  // Days 60-99 lose every far bin, so the link's window fails the
-  // usable-data guard near the end of the outage.
-  plan->LinkDown(208, 18 * 86400 + 4 * 3600, 18 * 86400 + 4 * 3600 + 600);
-  plan->LinkDown(208, 60 * 86400, 100 * 86400);
   EXPECT_EQ(GoldenStudyDigest(&*plan), 0x2a720567358c8ad0ULL);
+}
+
+// The exported measurement stream, which the serving plane's parity gate
+// replays, shares each link-day's rounds across the link's pairs too, so
+// its rows are pinned as well: every row's VP, link and day, and the bits
+// of its far and near bins, in callback order.
+std::uint64_t GoldenStreamDigest(const sim::faults::FaultPlan* plan) {
+  scenario::UsBroadband world = scenario::MakeUsBroadband();
+  scenario::StudyOptions options;
+  options.days = 120;
+  options.max_vps = 3;
+  options.fault_plan = plan;
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto add = [&h](const void* data, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  scenario::ExportStudyStream(
+      world, options,
+      [&add](topo::VpId vp, topo::LinkId link, std::int64_t day,
+             std::span<const float> far, std::span<const float> near) {
+        add(&vp, sizeof vp);
+        add(&link, sizeof link);
+        add(&day, sizeof day);
+        add(far.data(), far.size_bytes());
+        add(near.data(), near.size_bytes());
+      });
+  return h;
+}
+
+TEST(StudyGolden, SmallChaosStreamDigestIsPinned) {
+  std::string error;
+  const auto plan = GoldenChaosPlan(&error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  EXPECT_EQ(GoldenStreamDigest(&*plan), 0x161bfa3686cd84faULL);
+}
+
+// Sharded runs evaluate each link-day's rounds once and apply every VP's
+// outages, skipped rounds and dropped writes on top of the shared rounds.
+// Under the golden chaos plan the serial run, the link-sharded run and the
+// month-chunked run must still agree byte for byte.
+TEST(StudyDeterminism, ChaosRunIsBitIdenticalAcrossShardings) {
+  std::string error;
+  const auto plan = GoldenChaosPlan(&error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  const scenario::StudyResult serial = RunGoldenStudy(&*plan, 1, 0);
+  // Some link is seen by more than one VP, so some rounds are shared.
+  EXPECT_GT(serial.vp_link_pairs, serial.links_observed);
+  const std::string expected = Dump(serial);
+  EXPECT_EQ(Dump(RunGoldenStudy(&*plan, 3, 0)), expected);
+  EXPECT_EQ(Dump(RunGoldenStudy(&*plan, 3, 1)), expected);
 }
 
 // The canonical-order helpers are the sanctioned way to fold over hash
@@ -559,6 +629,76 @@ TEST(CheckpointLog, RefusedLogIsReportedByTheStudy) {
   EXPECT_EQ(Dump(refused), Dump(fresh));
   EXPECT_EQ(FileBytes(path), v1);
   std::remove(path.c_str());
+}
+
+// A resumed study restores every shard from the log: it appends nothing,
+// and its output equals the run that wrote the log.
+TEST(StudyCheckpoint, ResumeRestoresEveryShardAndAppendsNothing) {
+  const std::string path = testing::TempDir() + "manic_ckpt_resume.log";
+  std::remove(path.c_str());
+  const std::string fresh = Dump(RunMiniStudy(2, 1, nullptr, path));
+  const std::string bytes = FileBytes(path);
+  ASSERT_GT(runtime::CheckpointLog(path).size(), 0u);
+  const std::string resumed = Dump(RunMiniStudy(2, 1, nullptr, path));
+  EXPECT_EQ(FileBytes(path), bytes);
+  EXPECT_EQ(resumed, fresh);
+  std::remove(path.c_str());
+}
+
+// The study's shard keys are (link index << 16) | month chunk. A log whose
+// blobs at those keys carry an older blob version is recomputed, not
+// misread. Each stale blob has the current layout with the link's pair
+// count of empty outputs, so only its version word tells it apart: a
+// restore that read it would fold empty series and change the output.
+TEST(StudyCheckpoint, VersionOneBlobsAreRecomputed) {
+  const std::string fresh_path = testing::TempDir() + "manic_ckpt_fresh.log";
+  const std::string stale_path = testing::TempDir() + "manic_ckpt_stale.log";
+  std::remove(fresh_path.c_str());
+  std::remove(stale_path.c_str());
+  const scenario::StudyResult fresh = RunMiniStudy(2, 0, nullptr, fresh_path);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> link_shards;
+  {
+    const runtime::CheckpointLog log(fresh_path);
+    for (std::uint64_t g = 0; log.Lookup(g << 16).has_value(); ++g) {
+      const std::string blob = *log.Lookup(g << 16);
+      runtime::BlobReader r(blob);
+      std::uint64_t version = 0, pairs = 0;
+      ASSERT_TRUE(r.GetU64(&version) && r.GetU64(&pairs));
+      ASSERT_TRUE(pairs >= 1 && pairs <= 4);  // one pair per VP at most
+      EXPECT_EQ(version, 2u);
+      link_shards.emplace_back(g << 16, pairs);
+    }
+    // Without month chunks, one shard per observed link.
+    EXPECT_EQ(link_shards.size(), log.size());
+  }
+  EXPECT_EQ(link_shards.size(), fresh.links_observed);
+  {
+    runtime::CheckpointLog stale(stale_path);
+    for (const auto& [key, pairs] : link_shards) {
+      runtime::BlobWriter w;
+      w.PutU64(1);  // blob version
+      w.PutU64(pairs);
+      for (std::uint64_t p = 0; p < pairs; ++p) {
+        w.PutI64(0);                                   // emit_start
+        w.PutU64(0);                                   // no classified days
+        for (int i = 0; i < 2 * 2 * 24; ++i) w.PutI64(0);  // histograms
+        for (int i = 0; i < 9; ++i) w.PutI64(0);       // quality tally
+        w.PutU64(0);                                   // quality flags
+      }
+      ASSERT_EQ(stale.Record(key, w.Take()), runtime::LogStatus::kOk);
+    }
+  }
+  const scenario::StudyResult recomputed =
+      RunMiniStudy(2, 0, nullptr, stale_path);
+  EXPECT_EQ(Dump(recomputed), Dump(fresh));
+  // The recomputed shards were recorded again, as the fresh run saved them.
+  const runtime::CheckpointLog resaved(stale_path);
+  const runtime::CheckpointLog reference(fresh_path);
+  for (const auto& [key, pairs] : link_shards) {
+    EXPECT_EQ(resaved.Lookup(key), reference.Lookup(key)) << "key " << key;
+  }
+  std::remove(fresh_path.c_str());
+  std::remove(stale_path.c_str());
 }
 
 TEST(Blob, ExactBitsRoundTrip) {
