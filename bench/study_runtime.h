@@ -5,9 +5,9 @@
 // metrics report goes to stderr AFTER the tables, so stdout stays
 // byte-identical across thread counts:
 //
-//   MANIC_THREADS=1 ./bench/table3_overview > serial.txt
-//   MANIC_THREADS=8 ./bench/table3_overview > parallel.txt
-//   diff serial.txt parallel.txt        # empty by the determinism contract
+//   MANIC_THREADS=1 ./bench/table3_overview > one.txt    # no pool
+//   MANIC_THREADS=8 ./bench/table3_overview > eight.txt
+//   diff one.txt eight.txt              # empty by the determinism contract
 //
 // When MANIC_RUNTIME_JSON names a file, one JSON line of wall/CPU phase
 // times and pool counters is appended per run (scripts/check.sh uses this to

@@ -4,6 +4,7 @@
 // congestion is NOT widespread (only a small share of T&CPs congested per
 // AP, overall congested day-link percentage in the single digits), with Cox
 // the highest.
+#include <cstdint>
 #include <cstdio>
 #include <map>
 
@@ -17,8 +18,28 @@ int main() {
   std::puts("=== Table 3: U.S. interdomain congestion overview "
             "(Mar 2016 - Dec 2017) ===");
   scenario::UsBroadband world = scenario::MakeUsBroadband();
+  scenario::StudyOptions options = bench::StudyOptionsFromEnv();
+  // 64-bit FNV-1a over every day-link record in emission order: day,
+  // link_key, access, tcp, fraction and observed (as one byte), the fields
+  // and order perfbench's study digest hashes, so the full-size study pins
+  // to one constant (scripts/check.sh stage 2).
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  const auto add = [&digest](const auto& value) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(&value);
+    for (std::size_t i = 0; i < sizeof value; ++i) {
+      digest = (digest ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  };
+  options.on_day_link = [&add](const analysis::DayLinkRecord& rec) {
+    add(rec.day);
+    add(rec.link_key);
+    add(rec.access);
+    add(rec.tcp);
+    add(rec.fraction);
+    add(static_cast<std::uint8_t>(rec.observed));
+  };
   const scenario::StudyResult result =
-      scenario::RunLongitudinalStudy(world, bench::StudyOptionsFromEnv());
+      scenario::RunLongitudinalStudy(world, options);
 
   struct PaperRow {
     int obs = 0;
@@ -68,6 +89,8 @@ int main() {
       "%.2f%%  (tp=%lld fp=%lld fn=%lld tn=%lld)\n",
       100.0 * result.TruthAccuracy(), result.truth_tp, result.truth_fp,
       result.truth_fn, result.truth_tn);
+  std::printf("Day-link record digest (FNV-1a): %016llx\n",
+              static_cast<unsigned long long>(digest));
   bench::ReportStudyRuntime("table3_overview");
   return 0;
 }

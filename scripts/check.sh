@@ -3,7 +3,10 @@
 #   1. default build + the whole ctest suite;
 #   2. the parallel-determinism gate: bench/table3_overview at 1 thread and
 #      at N threads must write byte-identical stdout (the runtime metrics
-#      report goes to stderr), with both wall times recorded as JSON lines;
+#      report goes to stderr), with both wall times recorded as JSON lines,
+#      and that stdout must carry the pinned full-size study: day-link record
+#      digest e01e51b5464d0956 and tp=13688 fp=0 fn=709 tn=261969 (the
+#      values perfbench/expected.json holds for the same study);
 #   3. the chaos gate: examples/continental_study under the canned fault
 #      plan (examples/fault_plans/small_chaos.plan) at 1 thread and at N
 #      threads — fault injection must not cost the bit-identical-replay
@@ -92,6 +95,12 @@ if ! diff -u "$OUT_DIR/table3_t1.txt" "$OUT_DIR/table3_tN.txt"; then
   exit 1
 fi
 echo "stdout byte-identical at 1 and $THREADS threads."
+for pin in "Day-link record digest (FNV-1a): e01e51b5464d0956" \
+           "tp=13688 fp=0 fn=709 tn=261969"; do
+  grep -qF "$pin" "$OUT_DIR/table3_t1.txt" || {
+    echo "FAIL: table3_overview stdout lacks the pinned '$pin'" >&2; exit 1; }
+done
+echo "full-size study matches its pinned digest and confusion matrix."
 echo "wall/CPU records (also in $JSON):"
 cat "$JSON"
 

@@ -33,8 +33,8 @@ namespace manic::infer {
 // Streaming data-quality bookkeeping for one VP-link pair: coverage counts,
 // the longest run of missing far bins (time-ordered across day boundaries),
 // and day-level observed/unobserved churn. Every field is an exact count,
-// so the sharded study path's per-chunk tallies fold to the same integers
-// the serial path streams.
+// so the study's per-chunk tallies fold to the same integers one tally
+// streamed over the whole window would hold.
 struct QualityTally {
   std::int64_t far_present = 0, far_total = 0;
   std::int64_t near_present = 0, near_total = 0;

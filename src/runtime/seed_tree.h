@@ -3,7 +3,7 @@
 // id, month index, a purpose tag) — never a thread id, shard-completion
 // order, or anything the scheduler influences — so a study partitioned any
 // way across any number of threads consumes exactly the same random streams
-// as the serial run.
+// as an unpartitioned run.
 //
 // Derivation is SplitMix64-based (stats::Rng::HashMix): Leaf(a, b) on a tree
 // rooted at `seed` equals HashMix(seed, a, b), which keeps the historical

@@ -64,7 +64,9 @@ void StudyExecutor::Execute(
     ++completed_works_;
   };
 
-  if (watchdog.stall_timeout_s <= 0.0) {
+  if (pool_ == nullptr) {
+    for (const std::size_t i : pending) run_work(i);
+  } else if (watchdog.stall_timeout_s <= 0.0) {
     // Fan out. ParallelFor (rather than bare Submit) lets the calling thread
     // execute shards too, so an exclusive pool is not assumed.
     pool_->ParallelFor(pending.size(),

@@ -1,7 +1,8 @@
 // The deterministic fork/join skeleton of the parallel study engine. A study
 // is cut into shards keyed by stable identifiers ((link, month-chunk) in
 // the longitudinal driver); every shard's `work` runs concurrently on the
-// pool and writes only to buffers it owns, then every shard's `merge` runs
+// pool (or, with no pool, on the calling thread in key order) and writes
+// only to buffers it owns, then every shard's `merge` runs
 // on the calling thread in ascending key order. Because the merge order is a
 // pure function of the keys — never of scheduling — the folded result is
 // bit-identical run-to-run and thread-count-to-thread-count, floating-point
@@ -21,8 +22,10 @@ namespace manic::runtime {
 
 // Knobs for parallel study execution, carried inside scenario::StudyOptions.
 struct RuntimeOptions {
-  // 1 = the serial reference path (no pool); 0 = hardware_concurrency;
-  // N > 1 = sharded execution on N workers.
+  // 1 = no pool: every shard and the truth phase run on the calling
+  // thread; 0 = hardware_concurrency; N >= 2 = a pool of N workers, with
+  // the calling thread joining in while it waits (N + 1 threads at most).
+  // Every value produces bit-identical output.
   int threads = 1;
   // Shard granularity: 0 = one shard per link, holding all of the link's
   // (VP, link) pairs, spanning the whole study window; N > 0 = additionally
@@ -70,9 +73,10 @@ class StudyExecutor {
     std::function<bool(const std::string&)> restore;
   };
 
-  // The executor borrows the pool; `metrics` (optional) counts shards.
-  explicit StudyExecutor(ThreadPool& pool, Metrics* metrics = nullptr)
-      : pool_(&pool), metrics_(metrics) {}
+  // The executor borrows the pool; a null pool runs every work on the
+  // calling thread. `metrics` (optional) counts shards.
+  explicit StudyExecutor(ThreadPool* pool, Metrics* metrics = nullptr)
+      : pool_(pool), metrics_(metrics) {}
 
   // Runs all shard works concurrently (the calling thread participates),
   // then merges serially in ascending (key, insertion-index) order.
@@ -83,7 +87,8 @@ class StudyExecutor {
   // order) once its work completes — so a killed study resumes where it
   // stopped and its final fold is byte-identical to an uninterrupted run.
   // With WatchdogOptions::stall_timeout_s > 0, the parallel phase runs under
-  // the stall watchdog.
+  // the stall watchdog; without a pool nothing is queued elsewhere, so it
+  // has nothing to reclaim.
   void Execute(std::vector<Shard> shards,
                const std::function<void(std::size_t, std::size_t)>& progress =
                    {},

@@ -179,36 +179,61 @@ struct VpLink {
   topo::VpId vp = 0;
   int vp_utc_offset = 0;
   bool is_comcast = false;
+
+  bool VisibleOn(std::int64_t day) const {
+    return day >= visible_from && day < visible_until;
+  }
 };
 
-// The per-pair data-quality bookkeeping now lives in infer/streaming.h so
-// the serving plane's incremental engine can share it; the driver keeps only
-// the fold over pairs. Pairs that never produced a post-warmup row are
-// skipped, so `link_quality` only covers measured links.
+// The per-pair data-quality bookkeeping lives in infer/streaming.h so the
+// serving plane's incremental engine can share it.
 using QualityTally = infer::QualityTally;
 
-void FoldLinkQuality(const std::vector<VpLink>& pairs,
-                     const std::vector<QualityTally>& tallies, int days,
-                     StudyResult& result) {
-  std::map<topo::LinkId, infer::LinkQualityAccumulator> by_link;
-  for (std::size_t p = 0; p < pairs.size(); ++p) {
-    const QualityTally& t = tallies[p];
-    if (t.far_total == 0) continue;
-    by_link[pairs[p].info->link].Add(t);
+// The prelude both entry points share: the resolved study window, the fault
+// hook installed for the whole run (discovery included: a plan scheduling
+// events before day 0 degrades bdrmap too), and discovery. The injector's
+// queries are pure functions of (plan, seed, arguments), so a faulted study
+// stays bit-identical at any thread count. The destructor clears the hook,
+// also when a progress, record or stream callback throws, so the network
+// never keeps a pointer to a destroyed injector.
+class StudySetup {
+ public:
+  StudySetup(UsBroadband& world, const StudyOptions& options)
+      : days(options.days > 0 ? options.days
+                              : static_cast<int>(stats::StudyTotalDays())),
+        warmup(options.warmup_days),
+        world_(world),
+        options_(options) {
+    if (options.fault_plan != nullptr) {
+      injector_.emplace(*options.fault_plan,
+                        runtime::SeedTree(options.seed).Child("faults"));
+      world.net->SetFaultHook(&*injector_);
+    }
   }
-  for (const auto& [link, acc] : by_link) {
-    result.link_quality[link] = acc.Finish(days);
+  ~StudySetup() {
+    if (injector_.has_value()) world_.net->SetFaultHook(nullptr);
   }
-}
+  StudySetup(const StudySetup&) = delete;
+  StudySetup& operator=(const StudySetup&) = delete;
+
+  std::vector<VpLink> DiscoverPairs();
+
+  const int days = 0;
+  const int warmup = 0;
+
+ private:
+  UsBroadband& world_;
+  const StudyOptions& options_;
+  std::optional<sim::faults::FaultInjector> injector_;
+};
 
 // Discovery: bdrmap per VP, visibility churn, TSLP synthesizer setup. Runs
 // serially (probing mutates the network's RNG and path cache); the noise
 // seeds are derived from the root SeedTree by stable (vp, link) keys so the
 // sharded phases never need the network's RNG.
-std::vector<VpLink> DiscoverPairs(UsBroadband& world,
-                                  const StudyOptions& options, int days,
-                                  int warmup,
-                                  std::set<topo::LinkId>& observed_links) {
+std::vector<VpLink> StudySetup::DiscoverPairs() {
+  UsBroadband& world = world_;
+  const StudyOptions& options = options_;
   std::vector<VpLink> pairs;
   sim::SimNetwork& net = *world.net;
   const runtime::SeedTree seeds(options.seed);
@@ -249,8 +274,6 @@ std::vector<VpLink> DiscoverPairs(UsBroadband& world,
                            dl.base_near_ms, seeds.Leaf(vp, dl.info->link)),
            dl.vp_name, dl.info, from, until, vp, dl.vp_utc_offset,
            world.topo->vp(vp).host_as == UsBroadband::kComcast});
-      // manic-lint: allow(layout: alloc-scale) -- discovery-time dedup set,
-      observed_links.insert(dl.info->link);  // built once per campaign.
     }
   }
   return pairs;
@@ -313,95 +336,7 @@ void Notify(const StudyOptions& options, const char* phase, std::size_t done,
   if (options.progress) options.progress({phase, done, total});
 }
 
-// ---- the serial reference path ---------------------------------------------
-// Day-outer, pair-inner — kept verbatim as the arithmetic specification the
-// sharded path must reproduce bit-for-bit (tested in test_runtime.cc).
-void RunDailyLoopSerial(UsBroadband& world, const StudyOptions& options,
-                        std::vector<VpLink>& pairs, int days, int warmup,
-                        StudyResult& result) {
-  sim::SimNetwork& net = *world.net;
-  const int intervals =
-      static_cast<int>(kSecPerDay / options.autocorr.bin_width);
-
-  std::vector<infer::RollingAutocorr> rolling(
-      pairs.size(), infer::RollingAutocorr(options.autocorr));
-  std::vector<QualityTally> quality(pairs.size());
-  std::vector<float> far_row, near_row;
-  // Per link, per day: merged congestion fractions from asserting VPs.
-  std::map<topo::LinkId, std::pair<double, int>> today;  // sum, contributors
-  std::map<topo::LinkId, bool> today_observed;
-
-  // Link-population bookkeeping (per access ISP).
-  const std::int64_t final_month_start =
-      days - stats::DaysInStudyMonth(stats::StudyMonthOfDay(days - 1));
-  std::map<topo::LinkId, const InterLinkInfo*> seen_ever, seen_final;
-
-  for (std::int64_t day = -warmup; day < days; ++day) {
-    today.clear();
-    today_observed.clear();
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
-      VpLink& pair = pairs[p];
-      if (day < pair.visible_from || day >= pair.visible_until) continue;
-      pair.synth.Day(day, far_row, near_row);
-      rolling[p].AddDay(far_row, near_row);
-      if (day >= 0) quality[p].AddDay(far_row, near_row);
-      if (day < 0 || !rolling[p].WindowFull()) continue;
-      today_observed[pair.info->link] = true;
-      seen_ever.emplace(pair.info->link, pair.info);
-      if (day >= final_month_start) {
-        seen_final.emplace(pair.info->link, pair.info);
-      }
-      const infer::DayClassification cls = rolling[p].Classify();
-      if (cls.recurring) {
-        auto& slot = today[pair.info->link];
-        slot.first += cls.fraction;
-        slot.second += 1;
-      }
-      if (Fig9Eligible(pair, cls, day)) {
-        AddFig9Intervals(pair, cls, day, options.autocorr.bin_width,
-                         result.comcast_vp_hists[pair.vp_name],
-                         result.comcast_consolidated);
-      }
-    }
-    Notify(options, "classify", static_cast<std::size_t>(day + warmup) + 1,
-           static_cast<std::size_t>(days + warmup));
-    if (day < 0) continue;
-
-    for (const auto& [link, seen] : today_observed) {
-      const InterLinkInfo* info = world.FindLink(link);
-      const auto it = today.find(link);
-      const double fraction =
-          it == today.end() || it->second.second == 0
-              ? 0.0
-              : it->second.first / static_cast<double>(it->second.second);
-      const analysis::DayLinkRecord record{day,       link,     info->access,
-                                           info->tcp, fraction, true};
-      result.day_links.Add(record);
-      if (options.on_day_link) options.on_day_link(record);
-
-      // Ground-truth comparison at the day-link level (links without demand
-      // models are never truly congested).
-      const bool truly_congested =
-          info->scheduled_congested &&
-          TrulyCongestedDay(net, link, day, intervals,
-                            options.autocorr.bin_width);
-      const bool inferred = fraction >= analysis::kDayLinkThreshold;
-      if (truly_congested && inferred) ++result.truth_tp;
-      if (truly_congested && !inferred) ++result.truth_fn;
-      if (!truly_congested && inferred) ++result.truth_fp;
-      if (!truly_congested && !inferred) ++result.truth_tn;
-    }
-  }
-  for (const auto& [link, info] : seen_ever) {
-    ++result.links_ever_by_access[info->access];
-  }
-  for (const auto& [link, info] : seen_final) {
-    ++result.links_final_month_by_access[info->access];
-  }
-  FoldLinkQuality(pairs, quality, days, result);
-}
-
-// ---- the sharded path -------------------------------------------------------
+// ---- the daily loop ----------------------------------------------------------
 // Shard = one link with all of its (VP, link) pairs, optionally split into
 // month-sized day chunks. Each shard evaluates the link's rounds once per
 // day, then synthesizes and classifies every pair's row into that pair's
@@ -409,8 +344,8 @@ void RunDailyLoopSerial(UsBroadband& world, const StudyOptions& options,
 // the rolling window, whose state is a pure function of its last
 // window_days inputs). Each pair's buffers are folded into its own series
 // in chunk order, and the aggregate reads the series day-outer, pair-inner,
-// which reproduces the serial loop's floating-point accumulation order
-// exactly.
+// so every floating-point sum associates the same way at any shard
+// granularity and thread count.
 
 struct DayOutcome {
   bool recurring = false;
@@ -530,17 +465,24 @@ bool RestoreLinkOut(const std::string& blob, std::vector<PairOut>& outs) {
   return true;
 }
 
-void RunDailyLoopSharded(UsBroadband& world, const StudyOptions& options,
-                         const std::vector<VpLink>& pairs, int days,
-                         runtime::Metrics& metrics, StudyResult& result) {
+void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
+                  const std::vector<VpLink>& pairs, int days,
+                  runtime::Metrics& metrics, StudyResult& result) {
   sim::SimNetwork& net = *world.net;
   const int intervals =
       static_cast<int>(kSecPerDay / options.autocorr.bin_width);
   const std::int64_t final_month_start =
       days - stats::DaysInStudyMonth(stats::StudyMonthOfDay(days - 1));
+  const std::vector<std::vector<std::size_t>> link_groups = PairsByLink(pairs);
+  result.links_observed = link_groups.size();
 
-  runtime::ThreadPool pool(options.runtime.ResolvedThreads(), &metrics);
-  runtime::StudyExecutor executor(pool, &metrics);
+  // One thread means no pool: the caller joins in under ParallelFor, so even
+  // a one-worker pool would run two threads. The executor then runs every
+  // shard on the calling thread, and so does the truth phase.
+  const int threads = options.runtime.ResolvedThreads();
+  std::optional<runtime::ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads, &metrics);
+  runtime::StudyExecutor executor(pool ? &*pool : nullptr, &metrics);
 
   // ---- phase: synthesize + classify, one shard per (link, month chunk) ----
   std::vector<PairOut> merged(pairs.size());
@@ -553,8 +495,6 @@ void RunDailyLoopSharded(UsBroadband& world, const StudyOptions& options,
     const std::int64_t warm_days =
         static_cast<std::int64_t>(options.autocorr.window_days - 1);
 
-    const std::vector<std::vector<std::size_t>> link_groups =
-        PairsByLink(pairs);
     std::vector<runtime::StudyExecutor::Shard> shards;
     std::vector<std::unique_ptr<std::vector<PairOut>>> outputs;
     for (std::size_t g = 0; g < link_groups.size(); ++g) {
@@ -586,9 +526,7 @@ void RunDailyLoopSharded(UsBroadband& world, const StudyOptions& options,
                 bool have_rounds = false;
                 for (std::size_t i = 0; i < members.size(); ++i) {
                   const VpLink& pair = pairs[members[i]];
-                  if (day < pair.visible_from || day >= pair.visible_until) {
-                    continue;
-                  }
+                  if (!pair.VisibleOn(day)) continue;
                   if (!have_rounds) {
                     link_synth.LinkRounds(day, rounds);
                     have_rounds = true;
@@ -644,10 +582,10 @@ void RunDailyLoopSharded(UsBroadband& world, const StudyOptions& options,
     result.checkpoint_refused = checkpoint && !checkpoint->writable();
   }
 
-  // ---- phase: aggregate (serial, canonical order) --------------------------
-  // Day-outer, pair-inner, link-sorted emission: the exact order of the
-  // serial reference loop, so every floating-point sum associates the same
-  // way and DayLinkTable ingests records identically.
+  // ---- phase: aggregate (calling thread, canonical order) ------------------
+  // Day-outer, pair-inner, link-sorted emission: every floating-point sum
+  // associates the same way whatever the shards were, and DayLinkTable
+  // ingests records in one order.
   struct TruthTask {
     std::int64_t day = 0;
     topo::LinkId link = 0;
@@ -708,12 +646,21 @@ void RunDailyLoopSharded(UsBroadband& world, const StudyOptions& options,
       Notify(options, "aggregate", static_cast<std::size_t>(day) + 1,
              static_cast<std::size_t>(days));
     }
+    // Pairs that never produced a post-warmup row add no quality, so
+    // `link_quality` only covers measured links.
+    std::map<topo::LinkId, infer::LinkQualityAccumulator> quality;
     for (std::size_t p = 0; p < pairs.size(); ++p) {
       const PairOut& series = merged[p];
       if (series.vp_hist.Total(false) + series.vp_hist.Total(true) > 0) {
         result.comcast_vp_hists[pairs[p].vp_name].Merge(series.vp_hist);
       }
       result.comcast_consolidated.Merge(series.pacific_hist);
+      if (series.quality.far_total > 0) {
+        quality[pairs[p].info->link].Add(series.quality);
+      }
+    }
+    for (const auto& [link, acc] : quality) {
+      result.link_quality[link] = acc.Finish(days);
     }
     for (const auto& [link, info] : seen_ever) {
       ++result.links_ever_by_access[info->access];
@@ -721,31 +668,27 @@ void RunDailyLoopSharded(UsBroadband& world, const StudyOptions& options,
     for (const auto& [link, info] : seen_final) {
       ++result.links_final_month_by_access[info->access];
     }
-    std::vector<QualityTally> tallies(pairs.size());
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
-      tallies[p] = merged[p].quality;
-    }
-    FoldLinkQuality(pairs, tallies, days, result);
   }
 
   // ---- phase: ground truth (parallel; integer tallies are order-free) ------
   {
     auto timer = metrics.Phase("truth");
     std::atomic<long long> tp{0}, fp{0}, fn{0}, tn{0};
-    pool.ParallelFor(
-        truth_tasks.size(),
-        [&](std::size_t i) {
-          const TruthTask& task = truth_tasks[i];
-          const bool truly =
-              TrulyCongestedDay(net, task.link, task.day, intervals,
-                                options.autocorr.bin_width);
-          const bool inferred = task.fraction >= analysis::kDayLinkThreshold;
-          if (truly && inferred) tp.fetch_add(1, std::memory_order_relaxed);
-          if (truly && !inferred) fn.fetch_add(1, std::memory_order_relaxed);
-          if (!truly && inferred) fp.fetch_add(1, std::memory_order_relaxed);
-          if (!truly && !inferred) tn.fetch_add(1, std::memory_order_relaxed);
-        },
-        /*grain=*/16);
+    const auto tally = [&](std::size_t i) {
+      const TruthTask& task = truth_tasks[i];
+      const bool truly = TrulyCongestedDay(net, task.link, task.day, intervals,
+                                           options.autocorr.bin_width);
+      const bool inferred = task.fraction >= analysis::kDayLinkThreshold;
+      if (truly && inferred) tp.fetch_add(1, std::memory_order_relaxed);
+      if (truly && !inferred) fn.fetch_add(1, std::memory_order_relaxed);
+      if (!truly && inferred) fp.fetch_add(1, std::memory_order_relaxed);
+      if (!truly && !inferred) tn.fetch_add(1, std::memory_order_relaxed);
+    };
+    if (pool.has_value()) {
+      pool->ParallelFor(truth_tasks.size(), tally, /*grain=*/16);
+    } else {
+      for (std::size_t i = 0; i < truth_tasks.size(); ++i) tally(i);
+    }
     result.truth_tp += tp.load(std::memory_order_relaxed);
     result.truth_fp += fp.load(std::memory_order_relaxed);
     result.truth_fn += fn.load(std::memory_order_relaxed);
@@ -763,73 +706,31 @@ StudyResult RunLongitudinalStudy(UsBroadband& world,
   runtime::Metrics& metrics = options.runtime.metrics != nullptr
                                   ? *options.runtime.metrics
                                   : scratch_metrics;
-  const int threads = options.runtime.ResolvedThreads();
-  metrics.SetThreads(threads);
+  metrics.SetThreads(options.runtime.ResolvedThreads());
 
-  const int days =
-      options.days > 0 ? options.days : static_cast<int>(stats::StudyTotalDays());
-  const int warmup = options.warmup_days;
-
-  // Install the fault hook for the whole run (discovery included: a plan
-  // scheduling events before day 0 degrades bdrmap too). The injector's
-  // queries are pure functions of (plan, seed, arguments), so the faulted
-  // study stays bit-identical at any thread count.
-  std::optional<sim::faults::FaultInjector> injector;
-  if (options.fault_plan != nullptr) {
-    injector.emplace(*options.fault_plan,
-                     runtime::SeedTree(options.seed).Child("faults"));
-    world.net->SetFaultHook(&*injector);
-  }
-
-  std::set<topo::LinkId> observed_links;
+  StudySetup setup(world, options);
   std::vector<VpLink> pairs;
   {
     auto timer = metrics.Phase("discover");
-    pairs = DiscoverPairs(world, options, days, warmup, observed_links);
+    pairs = setup.DiscoverPairs();
     Notify(options, "discover", pairs.size(), pairs.size());
   }
   result.vp_link_pairs = pairs.size();
-  result.links_observed = observed_links.size();
   result.probes_for_discovery = world.net->ProbesSent();
-
-  // Serial reference path only when nothing needs the shard machinery:
-  // checkpointing and the watchdog both live in the executor, so either one
-  // routes through the sharded path even at one thread (still bit-identical
-  // — that equivalence is what test_runtime.cc pins).
-  const bool serial = threads <= 1 && options.checkpoint_path.empty() &&
-                      options.watchdog.stall_timeout_s <= 0.0;
-  if (serial) {
-    auto timer = metrics.Phase("classify");
-    RunDailyLoopSerial(world, options, pairs, days, warmup, result);
-  } else {
-    RunDailyLoopSharded(world, options, pairs, days, metrics, result);
-  }
-  if (injector.has_value()) world.net->SetFaultHook(nullptr);
+  RunDailyLoop(world, options, pairs, setup.days, metrics, result);
   return result;
 }
 
 void ExportStudyStream(UsBroadband& world, const StudyOptions& options,
                        const StudyStreamFn& fn) {
-  const int days =
-      options.days > 0 ? options.days : static_cast<int>(stats::StudyTotalDays());
-  const int warmup = options.warmup_days;
+  // The same setup as RunLongitudinalStudy, so the exported rows carry
+  // identical fault effects (discovery degradation included).
+  StudySetup setup(world, options);
+  const std::vector<VpLink> pairs = setup.DiscoverPairs();
 
-  // Same fault installation as RunLongitudinalStudy, so the exported rows
-  // carry identical fault effects (discovery degradation included).
-  std::optional<sim::faults::FaultInjector> injector;
-  if (options.fault_plan != nullptr) {
-    injector.emplace(*options.fault_plan,
-                     runtime::SeedTree(options.seed).Child("faults"));
-    world.net->SetFaultHook(&*injector);
-  }
-
-  std::set<topo::LinkId> observed_links;
-  std::vector<VpLink> pairs =
-      DiscoverPairs(world, options, days, warmup, observed_links);
-
-  // Day-major, pair-minor: the daily loop's exact consumption order, so a
-  // stream consumer sees day boundaries the way the batch loop does. Each
-  // link's rounds are evaluated once per day, by the first of its pairs
+  // Day-major, pair-minor: the order a live deployment reports rows in, so a
+  // stream consumer sees day boundaries the way the batch study counts them.
+  // Each link's rounds are evaluated once per day, by the first of its pairs
   // that is visible, and reused by the rest.
   const std::vector<std::vector<std::size_t>> link_groups = PairsByLink(pairs);
   std::vector<std::size_t> group_of(pairs.size());
@@ -840,10 +741,10 @@ void ExportStudyStream(UsBroadband& world, const StudyOptions& options,
   std::vector<std::int64_t> rounds_day(link_groups.size(),
                                        std::numeric_limits<std::int64_t>::min());
   std::vector<float> far_row, near_row;
-  for (std::int64_t day = -warmup; day < days; ++day) {
+  for (std::int64_t day = -setup.warmup; day < setup.days; ++day) {
     for (std::size_t p = 0; p < pairs.size(); ++p) {
       const VpLink& pair = pairs[p];
-      if (day < pair.visible_from || day >= pair.visible_until) continue;
+      if (!pair.VisibleOn(day)) continue;
       const std::size_t g = group_of[p];
       if (rounds_day[g] != day) {
         pair.synth.LinkRounds(day, rounds[g]);
@@ -853,7 +754,6 @@ void ExportStudyStream(UsBroadband& world, const StudyOptions& options,
       fn(pair.vp, pair.info->link, day, far_row, near_row);
     }
   }
-  if (injector.has_value()) world.net->SetFaultHook(nullptr);
 }
 
 }  // namespace manic::scenario

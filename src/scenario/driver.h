@@ -154,9 +154,10 @@ struct StudyOptions {
   // pairs either appears late or disappears early in the study window,
   // deterministically per (seed, vp, link).
   double churn_fraction = 0.3;
-  // Parallel execution (threads, shard granularity, metrics sink). The
-  // default — threads = 1 — is the serial reference path; any thread count
-  // produces bit-identical results (see README "Parallel execution").
+  // Parallel execution (threads, shard granularity, metrics sink). Every
+  // thread count runs the same link-major shards — the default, threads = 1,
+  // runs them on the calling thread with no pool — and produces
+  // bit-identical results (see README "Parallel execution").
   runtime::RuntimeOptions runtime;
   // Optional progress callback; null = silent.
   StudyProgressFn progress;
@@ -166,12 +167,13 @@ struct StudyOptions {
   // (world, options) regardless of thread count. The plan must outlive the
   // RunLongitudinalStudy call.
   const sim::faults::FaultPlan* fault_plan = nullptr;
-  // Shard checkpoint log (empty = none). A non-empty path forces the
-  // sharded execution path (even at threads = 1) so every shard can be
-  // saved/restored; a killed study resumes from the log byte-identically.
+  // Shard checkpoint log (empty = none). Every shard is saved to it as it
+  // merges, at any thread count; a killed study resumes from the log
+  // byte-identically.
   std::string checkpoint_path;
   // Stall watchdog for the parallel phase (stall_timeout_s = 0 disables).
-  // A non-zero timeout also forces the sharded path.
+  // At threads = 1 there is no pool, so nothing can stall and the watchdog
+  // never fires.
   runtime::WatchdogOptions watchdog;
   // Optional per-record sink, invoked (from the calling thread, in emission
   // order) for every day-link record as it enters the result table. The

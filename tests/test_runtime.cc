@@ -16,6 +16,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -196,7 +197,7 @@ TEST(ThreadPool, StressManyWavesWithUnevenTasks) {
 TEST(StudyExecutor, MergesInAscendingKeyOrderRegardlessOfSchedule) {
   runtime::Metrics metrics;
   runtime::ThreadPool pool(4, &metrics);
-  runtime::StudyExecutor executor(pool, &metrics);
+  runtime::StudyExecutor executor(&pool, &metrics);
   constexpr std::size_t kShards = 40;
   std::vector<std::uint64_t> merge_order;
   std::vector<runtime::StudyExecutor::Shard> shards;
@@ -299,29 +300,6 @@ scenario::StudyResult RunMiniStudy(int threads, int months_per_shard,
   return scenario::RunLongitudinalStudy(world, options);
 }
 
-TEST(StudyDeterminism, ParallelRunsAreBitIdenticalToSerial) {
-  runtime::Metrics metrics;
-  const std::string serial = Dump(RunMiniStudy(1, 0));
-  const std::string two_threads = Dump(RunMiniStudy(2, 0, &metrics));
-  EXPECT_EQ(serial, two_threads);
-  // Shards actually ran on the pool, with per-phase timing captured.
-  EXPECT_GT(metrics.shards(), 0u);
-  const std::string report = metrics.Report();
-  EXPECT_NE(report.find("classify"), std::string::npos);
-  EXPECT_NE(report.find("truth"), std::string::npos);
-}
-
-TEST(StudyDeterminism, MonthShardingIsBitIdenticalToo) {
-  // Month-granularity shards replay up to window_days - 1 days of warmup;
-  // RollingAutocorr state is a pure function of its last window_days inputs,
-  // so the classifications — and every downstream float sum — must not move.
-  const std::string serial = Dump(RunMiniStudy(1, 0));
-  const std::string sharded = Dump(RunMiniStudy(8, 1));
-  EXPECT_EQ(serial, sharded);
-}
-
-// ---- cross-commit golden pin ------------------------------------------------
-
 // 64-bit FNV-1a, so a whole Dump pins to one constant.
 std::uint64_t Fnv1a(const std::string& bytes) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -331,6 +309,40 @@ std::uint64_t Fnv1a(const std::string& bytes) {
   }
   return h;
 }
+
+// Fnv1a(Dump(RunMiniStudy(1, 0))) as the per-pair reference loop computed
+// it, before one-thread runs moved onto the link-major shards. Every thread
+// count and shard granularity must reproduce it.
+constexpr std::uint64_t kMiniStudyDigest = 0x0a9e0f5ea5439077ULL;
+
+TEST(StudyDeterminism, ParallelRunsMatchThePinnedDigest) {
+  runtime::Metrics metrics;
+  EXPECT_EQ(Fnv1a(Dump(RunMiniStudy(2, 0, &metrics))), kMiniStudyDigest);
+  // Shards actually ran on the pool, with per-phase timing captured.
+  EXPECT_GT(metrics.shards(), 0u);
+  EXPECT_GT(metrics.tasks(), 0u);
+  const std::string report = metrics.Report();
+  EXPECT_NE(report.find("classify"), std::string::npos);
+  EXPECT_NE(report.find("truth"), std::string::npos);
+}
+
+TEST(StudyDeterminism, MonthShardingIsBitIdenticalToo) {
+  // Month-granularity shards replay up to window_days - 1 days of warmup;
+  // RollingAutocorr state is a pure function of its last window_days inputs,
+  // so the classifications — and every downstream float sum — must not move.
+  EXPECT_EQ(Fnv1a(Dump(RunMiniStudy(8, 1))), kMiniStudyDigest);
+}
+
+// One thread runs the same link-major shards, all on the calling thread: no
+// pool exists, so no task is ever submitted.
+TEST(StudyDeterminism, OneThreadRunsShardsOnTheCaller) {
+  runtime::Metrics metrics;
+  EXPECT_EQ(Fnv1a(Dump(RunMiniStudy(1, 0, &metrics))), kMiniStudyDigest);
+  EXPECT_GT(metrics.shards(), 0u);
+  EXPECT_EQ(metrics.tasks(), 0u);
+}
+
+// ---- cross-commit golden pin ------------------------------------------------
 
 scenario::StudyResult RunGoldenStudy(const sim::faults::FaultPlan* plan,
                                      int threads = 1,
@@ -419,20 +431,55 @@ TEST(StudyGolden, SmallChaosStreamDigestIsPinned) {
   EXPECT_EQ(GoldenStreamDigest(&*plan), 0x161bfa3686cd84faULL);
 }
 
-// Sharded runs evaluate each link-day's rounds once and apply every VP's
+// Shards evaluate each link-day's rounds once and apply every VP's
 // outages, skipped rounds and dropped writes on top of the shared rounds.
-// Under the golden chaos plan the serial run, the link-sharded run and the
-// month-chunked run must still agree byte for byte.
+// Under the golden chaos plan the one-thread run, the three-thread run and
+// the month-chunked run must all reproduce the pinned chaos digest.
 TEST(StudyDeterminism, ChaosRunIsBitIdenticalAcrossShardings) {
   std::string error;
   const auto plan = GoldenChaosPlan(&error);
   ASSERT_TRUE(plan.has_value()) << error;
-  const scenario::StudyResult serial = RunGoldenStudy(&*plan, 1, 0);
+  const scenario::StudyResult one_thread = RunGoldenStudy(&*plan, 1, 0);
   // Some link is seen by more than one VP, so some rounds are shared.
-  EXPECT_GT(serial.vp_link_pairs, serial.links_observed);
-  const std::string expected = Dump(serial);
-  EXPECT_EQ(Dump(RunGoldenStudy(&*plan, 3, 0)), expected);
-  EXPECT_EQ(Dump(RunGoldenStudy(&*plan, 3, 1)), expected);
+  EXPECT_GT(one_thread.vp_link_pairs, one_thread.links_observed);
+  EXPECT_EQ(Fnv1a(Dump(one_thread)), 0x2a720567358c8ad0ULL);
+  EXPECT_EQ(Fnv1a(Dump(RunGoldenStudy(&*plan, 3, 0))), 0x2a720567358c8ad0ULL);
+  EXPECT_EQ(Fnv1a(Dump(RunGoldenStudy(&*plan, 3, 1))), 0x2a720567358c8ad0ULL);
+}
+
+// Both entry points install the plan's fault hook on the world's network. A
+// callback that throws must not leave the network pointing at the
+// destroyed injector.
+TEST(StudyFaults, ThrowingCallbackClearsTheFaultHook) {
+  std::string error;
+  const auto plan = GoldenChaosPlan(&error);
+  ASSERT_TRUE(plan.has_value()) << error;
+  scenario::StudyOptions options;
+  options.days = 30;
+  options.max_vps = 2;
+  options.fault_plan = &*plan;
+  {
+    scenario::UsBroadband world = scenario::MakeUsBroadband();
+    scenario::StudyOptions throwing = options;
+    throwing.on_day_link = [](const analysis::DayLinkRecord&) {
+      throw std::runtime_error("record sink failed");
+    };
+    EXPECT_THROW(scenario::RunLongitudinalStudy(world, throwing),
+                 std::runtime_error);
+    EXPECT_EQ(world.net->fault_hook(), nullptr);
+  }
+  {
+    scenario::UsBroadband world = scenario::MakeUsBroadband();
+    EXPECT_THROW(
+        scenario::ExportStudyStream(
+            world, options,
+            [](topo::VpId, topo::LinkId, std::int64_t, std::span<const float>,
+               std::span<const float>) {
+              throw std::runtime_error("stream sink failed");
+            }),
+        std::runtime_error);
+    EXPECT_EQ(world.net->fault_hook(), nullptr);
+  }
 }
 
 // The canonical-order helpers are the sanctioned way to fold over hash
@@ -475,36 +522,40 @@ TEST(CanonicalOrder, FoldVisitsAscendingAndIsInsertionInvariant) {
 }
 
 TEST(StudyDeterminism, ProgressReportsPhasesInOrder) {
-  scenario::UsBroadbandOptions world_options;
-  world_options.link_scale = 0.3;
-  scenario::UsBroadband world = scenario::MakeUsBroadband(world_options);
-  scenario::StudyOptions options;
-  options.days = 60;
-  options.max_vps = 2;
-  options.runtime.threads = 2;
-  std::vector<std::string> phases;
-  std::thread::id callback_thread;
-  bool single_thread = true;
-  options.progress = [&](const scenario::StudyProgress& progress) {
-    if (phases.empty() || phases.back() != progress.phase) {
-      phases.push_back(progress.phase);
-    }
-    if (phases.size() == 1 && progress.done == progress.total) {
-      callback_thread = std::this_thread::get_id();
-    } else if (callback_thread != std::thread::id() &&
-               std::this_thread::get_id() != callback_thread) {
-      single_thread = false;
-    }
-    EXPECT_LE(progress.done, progress.total);
-  };
-  scenario::RunLongitudinalStudy(world, options);
-  ASSERT_EQ(phases.size(), 4u);
-  EXPECT_EQ(phases[0], "discover");
-  EXPECT_EQ(phases[1], "classify");
-  EXPECT_EQ(phases[2], "aggregate");
-  EXPECT_EQ(phases[3], "truth");
-  // The no-interleave contract: every callback fires on the calling thread.
-  EXPECT_TRUE(single_thread);
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(threads);
+    scenario::UsBroadbandOptions world_options;
+    world_options.link_scale = 0.3;
+    scenario::UsBroadband world = scenario::MakeUsBroadband(world_options);
+    scenario::StudyOptions options;
+    options.days = 60;
+    options.max_vps = 2;
+    options.runtime.threads = threads;
+    std::vector<std::string> phases;
+    std::thread::id callback_thread;
+    bool single_thread = true;
+    options.progress = [&](const scenario::StudyProgress& progress) {
+      if (phases.empty() || phases.back() != progress.phase) {
+        phases.push_back(progress.phase);
+      }
+      if (phases.size() == 1 && progress.done == progress.total) {
+        callback_thread = std::this_thread::get_id();
+      } else if (callback_thread != std::thread::id() &&
+                 std::this_thread::get_id() != callback_thread) {
+        single_thread = false;
+      }
+      EXPECT_LE(progress.done, progress.total);
+    };
+    scenario::RunLongitudinalStudy(world, options);
+    ASSERT_EQ(phases.size(), 4u);
+    EXPECT_EQ(phases[0], "discover");
+    EXPECT_EQ(phases[1], "classify");
+    EXPECT_EQ(phases[2], "aggregate");
+    EXPECT_EQ(phases[3], "truth");
+    // The no-interleave contract: every callback fires on the calling
+    // thread.
+    EXPECT_TRUE(single_thread);
+  }
 }
 
 // ---- checkpoint log ---------------------------------------------------------
@@ -635,13 +686,16 @@ TEST(CheckpointLog, RefusedLogIsReportedByTheStudy) {
 // and its output equals the run that wrote the log.
 TEST(StudyCheckpoint, ResumeRestoresEveryShardAndAppendsNothing) {
   const std::string path = testing::TempDir() + "manic_ckpt_resume.log";
-  std::remove(path.c_str());
-  const std::string fresh = Dump(RunMiniStudy(2, 1, nullptr, path));
-  const std::string bytes = FileBytes(path);
-  ASSERT_GT(runtime::CheckpointLog(path).size(), 0u);
-  const std::string resumed = Dump(RunMiniStudy(2, 1, nullptr, path));
-  EXPECT_EQ(FileBytes(path), bytes);
-  EXPECT_EQ(resumed, fresh);
+  for (const int threads : {1, 2}) {
+    SCOPED_TRACE(threads);
+    std::remove(path.c_str());
+    const std::string fresh = Dump(RunMiniStudy(threads, 1, nullptr, path));
+    const std::string bytes = FileBytes(path);
+    ASSERT_GT(runtime::CheckpointLog(path).size(), 0u);
+    const std::string resumed = Dump(RunMiniStudy(threads, 1, nullptr, path));
+    EXPECT_EQ(FileBytes(path), bytes);
+    EXPECT_EQ(resumed, fresh);
+  }
   std::remove(path.c_str());
 }
 
@@ -743,7 +797,7 @@ struct CheckpointedRun {
 CheckpointedRun RunCheckpointed(const std::string& path,
                                 const runtime::IoFaultHook* fault_hook) {
   runtime::ThreadPool pool(2);
-  runtime::StudyExecutor executor(pool);
+  runtime::StudyExecutor executor(&pool);
   runtime::CheckpointLog checkpoint(path, fault_hook);
   CheckpointedRun result;
   std::vector<runtime::StudyExecutor::Shard> shards;
@@ -826,7 +880,7 @@ TEST(StudyExecutor, WatchdogReclaimsQueuedShardsFromAWedgedPool) {
   // invariants: the stall fires once, something was reclaimed, the grabbed
   // shard was seen stuck, and nothing is stranded or folded out of order.
   runtime::ThreadPool pool(1);
-  runtime::StudyExecutor executor(pool);
+  runtime::StudyExecutor executor(&pool);
   const std::thread::id caller = std::this_thread::get_id();
   std::atomic<bool> release{false};
   std::vector<std::uint64_t> merged;
