@@ -113,7 +113,7 @@ bool RunServeParity(const scenario::StudyOptions& options,
   }
 
   // Verdict parity: every batch day-link record must have a matching live
-  // verdict (exact counts and flags, fraction to 1e-9) and vice versa.
+  // verdict (exact counts, flags and fraction) and vice versa.
   std::size_t matched = 0;
   bool ok = true;
   std::map<std::uint64_t, std::size_t> live_per_link;
@@ -128,12 +128,11 @@ bool RunServeParity(const scenario::StudyOptions& options,
       ok = false;
       continue;
     }
-    if (std::fabs(live->fraction - record.fraction) > 1e-9 ||
+    if (live->fraction != record.fraction ||
         live->congested !=
             (record.fraction >= analysis::kDayLinkThreshold)) {
       std::fprintf(stderr,
-                   "parity: day %lld link %llu live frac %.12f vs batch "
-                   "%.12f\n",
+                   "parity: day %lld link %llu live frac %a vs batch %a\n",
                    static_cast<long long>(record.day),
                    static_cast<unsigned long long>(record.link_key),
                    live->fraction, record.fraction);
@@ -157,7 +156,7 @@ bool RunServeParity(const scenario::StudyOptions& options,
     }
   }
 
-  // Quality parity: integer fields exact, coverage fractions to 1e-9.
+  // Quality parity: every field exact, coverage fractions included.
   std::size_t quality_matched = 0;
   for (const auto& [link, bq] : batch.link_quality) {
     const auto lq = service.QueryQuality(link);
@@ -171,8 +170,8 @@ bool RunServeParity(const scenario::StudyOptions& options,
         lq->days_observed != bq.days_observed ||
         lq->total_days != bq.total_days ||
         lq->vp_churn_events != bq.vp_churn_events ||
-        std::fabs(lq->far_coverage_frac - bq.far_coverage_frac) > 1e-9 ||
-        std::fabs(lq->near_coverage_frac - bq.near_coverage_frac) > 1e-9) {
+        lq->far_coverage_frac != bq.far_coverage_frac ||
+        lq->near_coverage_frac != bq.near_coverage_frac) {
       std::fprintf(stderr, "parity: quality mismatch for link %llu\n",
                    static_cast<unsigned long long>(link));
       ok = false;

@@ -26,8 +26,9 @@
 #      committed BENCH_*.json baseline on ingest rate and p99 query
 #      latency — durability priced in);
 #   5. sanitizer builds: ThreadSanitizer (-DMANIC_SANITIZE=thread) rerunning
-#      the runtime + driver tests with MANIC_THREADS=4 plus the faulted
-#      chaos study through the full serving plane (--serve, 4 ingest
+#      the study, checkpoint, executor, pool and driver tests with
+#      MANIC_THREADS=4 (the tsan-study CI job runs the same selection) plus
+#      the faulted chaos study through the full serving plane (--serve, 4 ingest
 #      shards: daemon event loop, shard workers, and the query plane all
 #      under TSan) and a crashloop kill/recover cycle (WAL replay and the
 #      drain path under TSan), then ASan (-DMANIC_SANITIZE=address) running
@@ -171,8 +172,12 @@ stage "[5/6] sanitizer builds: TSan runtime/driver tests + serve chaos study, AS
 cmake -B build-tsan -S . -DMANIC_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target test_runtime test_driver \
   example_continental_study crashloop
+# Every study, checkpoint and executor test (StudyExecutor, StudyDeterminism,
+# StudyGolden, StudyCheckpoint, StudyFaults, CheckpointLog) plus the pool,
+# seed-tree and test_driver suites: the shard buffers, their merges and the
+# blobs saved from them all run under the race detector.
 MANIC_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'Runtime|ThreadPool|SeedTree|StudyExecutor|StudyDeterminism|Driver'
+  -R 'Study|CheckpointLog|ThreadPool|SeedTree|TslpSynthesizer|ReducedStudy'
 # The serving plane under TSan: daemon event loop + 4 shard workers + the
 # collector handshake, exercised by the faulted chaos study end to end.
 ./build-tsan/examples/example_continental_study 45 4 4 \

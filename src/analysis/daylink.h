@@ -12,15 +12,15 @@
 #include <string>
 #include <vector>
 
+#include "infer/autocorr.h"
 #include "topo/as_registry.h"
 
 namespace manic::analysis {
 
 using topo::Asn;
 
-// The paper's reporting threshold: a day-link "counts" as congested when its
-// congestion percentage exceeds 4% (~1 hour/day).
-inline constexpr double kDayLinkThreshold = 0.04;
+// The day-link reporting threshold lives beside the multi-VP fold.
+using infer::kDayLinkThreshold;
 
 struct DayLinkRecord {
   std::int64_t day = 0;      // epoch day

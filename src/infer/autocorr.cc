@@ -126,8 +126,6 @@ AutocorrResult MergeVpInferences(std::span<const AutocorrResult> per_vp,
   for (const AutocorrResult& r : per_vp) days = std::max(days, r.day_fraction.size());
   merged.day_fraction.assign(days, 0.0);
   merged.day_congested.assign(days, 0);
-  std::vector<int> contributors(days, 0);
-
   for (const AutocorrResult& r : per_vp) {
     if (!r.recurring) continue;
     merged.recurring = true;
@@ -141,10 +139,6 @@ AutocorrResult MergeVpInferences(std::span<const AutocorrResult> per_vp,
       merged.threshold_ms = r.threshold_ms;
       merged.counts = r.counts;
     }
-    for (std::size_t d = 0; d < r.day_fraction.size(); ++d) {
-      merged.day_fraction[d] += r.day_fraction[d];
-      ++contributors[d];
-    }
   }
   if (!merged.recurring) {
     merged.reject = per_vp.empty() ? RejectReason::kInsufficientData
@@ -152,10 +146,12 @@ AutocorrResult MergeVpInferences(std::span<const AutocorrResult> per_vp,
     return merged;
   }
   for (std::size_t d = 0; d < days; ++d) {
-    if (contributors[d] > 0) {
-      merged.day_fraction[d] /= contributors[d];
-      merged.day_congested[d] = merged.day_fraction[d] > 0.0 ? 1 : 0;
+    LinkDayFold fold;
+    for (const AutocorrResult& r : per_vp) {
+      if (d < r.day_fraction.size()) fold.Add(r.recurring, r.day_fraction[d]);
     }
+    merged.day_fraction[d] = fold.Fraction();
+    merged.day_congested[d] = merged.day_fraction[d] > 0.0 ? 1 : 0;
   }
   return merged;
 }

@@ -214,9 +214,36 @@ WindowDetection DetectRecurringWindow(std::span<const int> counts, int days,
 
 }  // namespace detail
 
+// The paper's reporting threshold: a day-link counts as congested when its
+// congestion level reaches 4% (about one hour a day).
+inline constexpr double kDayLinkThreshold = 0.04;
+
+// The multi-VP verdict of one link-day (§4.2 final stage), the one fold the
+// batch study, the live engine and MergeVpInferences share. Add each VP with
+// a full window that day, in ascending VP order so the sum associates the
+// same way everywhere: the link-day is reported when it has a contributor,
+// its level is the mean over the VPs asserting recurrence (0 when none do),
+// and it is congested at kDayLinkThreshold.
+struct LinkDayFold {
+  std::uint32_t contributors = 0;  // VPs with a full window this day
+  std::uint32_t asserting = 0;     // of those, VPs asserting recurrence
+  double fraction_sum = 0.0;       // over the asserting VPs
+
+  void Add(bool recurring, double fraction) noexcept {
+    ++contributors;
+    if (!recurring) return;
+    ++asserting;
+    fraction_sum += fraction;
+  }
+  double Fraction() const noexcept {
+    return asserting > 0 ? fraction_sum / static_cast<double>(asserting) : 0.0;
+  }
+  bool Congested() const noexcept { return Fraction() >= kDayLinkThreshold; }
+};
+
 // Merges per-VP inferences for the same link (§4.2 final stage): a link is
-// recurring-congested if any VP asserts it; day fractions are averaged over
-// the VPs that observed the day and asserted recurrence.
+// recurring-congested if any VP asserts it; each day's fraction is the
+// LinkDayFold level over the VPs that observed it.
 AutocorrResult MergeVpInferences(std::span<const AutocorrResult> per_vp,
                                  const AutocorrConfig& config = {});
 

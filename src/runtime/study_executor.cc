@@ -64,14 +64,14 @@ void StudyExecutor::Execute(
     ++completed_works_;
   };
 
-  if (pool_ == nullptr) {
-    for (const std::size_t i : pending) run_work(i);
-  } else if (watchdog.stall_timeout_s <= 0.0) {
+  // With no pool, each work runs in the merge loop below, just before its
+  // merge, so progress and checkpoint records follow every shard.
+  if (pool_ != nullptr && watchdog.stall_timeout_s <= 0.0) {
     // Fan out. ParallelFor (rather than bare Submit) lets the calling thread
     // execute shards too, so an exclusive pool is not assumed.
     pool_->ParallelFor(pending.size(),
                        [&](std::size_t k) { run_work(pending[k]); });
-  } else {
+  } else if (pool_ != nullptr) {
     // Watchdog path: per-shard claim states let the caller reclaim shards
     // the pool has not started once the stall deadline passes. 0 = queued,
     // 1 = running, 2 = done.
@@ -142,6 +142,7 @@ void StudyExecutor::Execute(
   // Fold in canonical key order, never completion order; record each fresh
   // shard's blob as it merges, so the log's record order is canonical too.
   for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (pool_ == nullptr && !restored[i]) run_work(i);
     if (shards[i].merge) shards[i].merge();
     if (checkpoint != nullptr && !restored[i] && shards[i].save &&
         checkpoint->Record(shards[i].key, shards[i].save()) !=

@@ -1,12 +1,12 @@
 // The deterministic fork/join skeleton of the parallel study engine. A study
 // is cut into shards keyed by stable identifiers ((link, month-chunk) in
 // the longitudinal driver); every shard's `work` runs concurrently on the
-// pool (or, with no pool, on the calling thread in key order) and writes
-// only to buffers it owns, then every shard's `merge` runs
-// on the calling thread in ascending key order. Because the merge order is a
-// pure function of the keys — never of scheduling — the folded result is
-// bit-identical run-to-run and thread-count-to-thread-count, floating-point
-// accumulation order included.
+// pool and writes only to buffers it owns, then every shard's `merge` runs
+// on the calling thread in ascending key order. With no pool, each work
+// runs on the calling thread just before its own merge. Because the merge
+// order is a pure function of the keys — never of scheduling — the folded
+// result is bit-identical run-to-run and thread-count-to-thread-count,
+// floating-point accumulation order included.
 #pragma once
 
 #include <cstdint>
@@ -79,13 +79,16 @@ class StudyExecutor {
       : pool_(pool), metrics_(metrics) {}
 
   // Runs all shard works concurrently (the calling thread participates),
-  // then merges serially in ascending (key, insertion-index) order.
+  // then merges serially in ascending (key, insertion-index) order; with no
+  // pool, each work runs in key order just before its merge.
   // `progress(done, total)` fires from the calling thread after each merge.
   //
   // With a CheckpointLog, shards whose key has a saved blob restore it and
   // skip the work phase; every other shard is recorded (in canonical merge
-  // order) once its work completes — so a killed study resumes where it
-  // stopped and its final fold is byte-identical to an uninterrupted run.
+  // order) as it merges, and a resumed run's final fold is byte-identical
+  // to an uninterrupted one. With no pool, a shard is recorded as soon as
+  // its work is done, so a killed study keeps every shard it finished; with
+  // a pool, nothing is recorded until every work has finished.
   // With WatchdogOptions::stall_timeout_s > 0, the parallel phase runs under
   // the stall watchdog; without a pool nothing is queued elsewhere, so it
   // has nothing to reclaim.

@@ -339,32 +339,33 @@ void Notify(const StudyOptions& options, const char* phase, std::size_t done,
 // ---- the daily loop ----------------------------------------------------------
 // Shard = one link with all of its (VP, link) pairs, optionally split into
 // month-sized day chunks. Each shard evaluates the link's rounds once per
-// day, then synthesizes and classifies every pair's row into that pair's
-// private buffer (replaying up to window_days - 1 preceding days to warm
-// the rolling window, whose state is a pure function of its last
-// window_days inputs). Each pair's buffers are folded into its own series
-// in chunk order, and the aggregate reads the series day-outer, pair-inner,
-// so every floating-point sum associates the same way at any shard
-// granularity and thread count.
+// day, then synthesizes and classifies every pair's row (replaying up to
+// window_days - 1 preceding days to warm the rolling window, whose state is
+// a pure function of its last window_days inputs) and folds the pairs'
+// verdicts into the day's infer::LinkDayFold in pair-index order. Chunks
+// append to the link's series in chunk order, so every floating-point sum
+// associates the same way at any shard granularity and thread count.
 
-struct DayOutcome {
-  bool recurring = false;
-  double fraction = 0.0;
-};
 struct PairOut {
-  std::int64_t emit_start = 0;
-  std::vector<DayOutcome> days;
   analysis::TimeOfDayHistogram vp_hist;
   analysis::TimeOfDayHistogram pacific_hist;
   QualityTally quality;
 };
+// A link's fold for every day from `start` on (a day no pair classified has
+// no contributors), and one PairOut per member pair.
+struct LinkOut {
+  std::int64_t start = 0;
+  std::vector<infer::LinkDayFold> days;
+  std::vector<PairOut> pairs;
+};
 
-// Shard checkpoint blobs: the version, the link's pair count, then one
-// PairOut per pair. Everything is integers or bit-cast doubles, so a
-// restored PairOut is the same bytes the worker produced — resume equals
-// rerun exactly. The version guard makes stale logs recompute, not crash:
-// version 1 held one pair's PairOut per (VP, link) shard.
-constexpr std::uint64_t kShardBlobVersion = 2;
+// Shard checkpoint blobs: the version, the link's pair count, the shard's
+// day series, then each pair's histograms and quality tally. Everything is
+// integers or bit-cast doubles, so a restored LinkOut is the same bytes the
+// worker produced — resume equals rerun exactly. The version guard makes
+// stale logs recompute, not crash: version 1 held one pair's output per
+// (VP, link) shard, version 2 a day series per pair.
+constexpr std::uint64_t kShardBlobVersion = 3;
 
 void SaveHist(runtime::BlobWriter& w,
               const analysis::TimeOfDayHistogram& hist) {
@@ -385,12 +386,6 @@ bool RestoreHist(runtime::BlobReader& r, analysis::TimeOfDayHistogram& hist) {
 }
 
 void SavePairOut(runtime::BlobWriter& w, const PairOut& out) {
-  w.PutI64(out.emit_start);
-  w.PutU64(out.days.size());
-  for (const DayOutcome& d : out.days) {
-    w.PutU64(d.recurring ? 1 : 0);
-    w.PutDouble(d.fraction);
-  }
   SaveHist(w, out.vp_hist);
   SaveHist(w, out.pacific_hist);
   const QualityTally& q = out.quality;
@@ -409,17 +404,6 @@ void SavePairOut(runtime::BlobWriter& w, const PairOut& out) {
 }
 
 bool RestorePairOut(runtime::BlobReader& r, PairOut& out) {
-  if (!r.GetI64(&out.emit_start)) return false;
-  std::uint64_t n_days = 0;
-  if (!r.GetU64(&n_days) || n_days > (1u << 24)) return false;
-  out.days.reserve(static_cast<std::size_t>(n_days));
-  for (std::uint64_t i = 0; i < n_days; ++i) {
-    std::uint64_t recurring = 0;
-    DayOutcome d;
-    if (!r.GetU64(&recurring) || !r.GetDouble(&d.fraction)) return false;
-    d.recurring = recurring != 0;
-    out.days.push_back(d);
-  }
   if (!RestoreHist(r, out.vp_hist)) return false;
   if (!RestoreHist(r, out.pacific_hist)) return false;
   QualityTally& q = out.quality;
@@ -438,30 +422,45 @@ bool RestorePairOut(runtime::BlobReader& r, PairOut& out) {
   return true;
 }
 
-std::string SaveLinkOut(const std::vector<PairOut>& outs) {
+std::string SaveLinkOut(const LinkOut& out) {
   runtime::BlobWriter w;
   w.PutU64(kShardBlobVersion);
-  w.PutU64(outs.size());
-  for (const PairOut& out : outs) SavePairOut(w, out);
+  w.PutU64(out.pairs.size());
+  w.PutU64(out.days.size());
+  for (const infer::LinkDayFold& d : out.days) {
+    w.PutU64(d.contributors | static_cast<std::uint64_t>(d.asserting) << 32);
+    w.PutDouble(d.fraction_sum);
+  }
+  for (const PairOut& pair : out.pairs) SavePairOut(w, pair);
   return w.Take();
 }
 
-// Restores all of a link's PairOuts, or none: `outs` keeps its contents
-// unless the whole blob parses and holds exactly outs.size() pairs.
-bool RestoreLinkOut(const std::string& blob, std::vector<PairOut>& outs) {
+// Restores a link's whole output, or none: `out` keeps its contents unless
+// the whole blob parses and holds exactly out.pairs.size() pairs.
+bool RestoreLinkOut(const std::string& blob, LinkOut& out) {
   runtime::BlobReader r(blob);
   std::uint64_t version = 0;
   std::uint64_t n_pairs = 0;
+  std::uint64_t n_days = 0;
   if (!r.GetU64(&version) || version != kShardBlobVersion ||
-      !r.GetU64(&n_pairs) || n_pairs != outs.size()) {
+      !r.GetU64(&n_pairs) || n_pairs != out.pairs.size() ||
+      !r.GetU64(&n_days) || n_days > (1u << 24)) {
     return false;
   }
-  std::vector<PairOut> restored(outs.size());
-  for (PairOut& out : restored) {
-    if (!RestorePairOut(r, out)) return false;
+  LinkOut restored{out.start, {}, std::vector<PairOut>(out.pairs.size())};
+  for (std::uint64_t i = 0; i < n_days; ++i) {
+    std::uint64_t counts = 0;
+    infer::LinkDayFold d;
+    if (!r.GetU64(&counts) || !r.GetDouble(&d.fraction_sum)) return false;
+    d.contributors = static_cast<std::uint32_t>(counts & 0xFFFFFFFFu);
+    d.asserting = static_cast<std::uint32_t>(counts >> 32);
+    restored.days.push_back(d);
+  }
+  for (PairOut& pair : restored.pairs) {
+    if (!RestorePairOut(r, pair)) return false;
   }
   if (!r.AtEnd()) return false;
-  outs = std::move(restored);
+  out = std::move(restored);
   return true;
 }
 
@@ -485,7 +484,7 @@ void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
   runtime::StudyExecutor executor(pool ? &*pool : nullptr, &metrics);
 
   // ---- phase: synthesize + classify, one shard per (link, month chunk) ----
-  std::vector<PairOut> merged(pairs.size());
+  std::vector<LinkOut> merged(link_groups.size());
   {
     auto timer = metrics.Phase("classify");
     const std::int64_t chunk_days =
@@ -496,9 +495,10 @@ void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
         static_cast<std::int64_t>(options.autocorr.window_days - 1);
 
     std::vector<runtime::StudyExecutor::Shard> shards;
-    std::vector<std::unique_ptr<std::vector<PairOut>>> outputs;
+    std::vector<std::unique_ptr<LinkOut>> outputs;
     for (std::size_t g = 0; g < link_groups.size(); ++g) {
       const std::vector<std::size_t>& members = link_groups[g];
+      merged[g].pairs.resize(members.size());
       // The span of days any of the link's pairs is visible.
       std::int64_t begin = std::numeric_limits<std::int64_t>::max();
       std::int64_t end = std::numeric_limits<std::int64_t>::min();
@@ -511,8 +511,10 @@ void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
       for (std::uint64_t chunk = 0; c0 < end; ++chunk) {
         const std::int64_t c1 =
             c0 > end - chunk_days ? end : c0 + chunk_days;  // overflow-safe
-        auto out = std::make_unique<std::vector<PairOut>>(members.size());
-        std::vector<PairOut>* buffer = out.get();
+        auto out = std::make_unique<LinkOut>();
+        out->start = std::max<std::int64_t>(c0, 0);
+        out->pairs.resize(members.size());
+        LinkOut* buffer = out.get();
         outputs.push_back(std::move(out));
         shards.push_back(runtime::StudyExecutor::Shard{
             (static_cast<std::uint64_t>(g) << 16) | chunk,
@@ -523,7 +525,9 @@ void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
               std::vector<float> far_row, near_row;
               const TslpSynthesizer& link_synth = pairs[members.front()].synth;
               for (std::int64_t day = c0 - warm_days; day < c1; ++day) {
+                const bool emit = day >= buffer->start;
                 bool have_rounds = false;
+                infer::LinkDayFold fold;
                 for (std::size_t i = 0; i < members.size(); ++i) {
                   const VpLink& pair = pairs[members[i]];
                   if (!pair.VisibleOn(day)) continue;
@@ -533,33 +537,30 @@ void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
                   }
                   pair.synth.PairDay(day, rounds, far_row, near_row);
                   rolling[i].AddDay(far_row, near_row);
-                  PairOut& out = (*buffer)[i];
-                  if (day >= c0 && day >= 0) {
-                    out.quality.AddDay(far_row, near_row);
-                  }
-                  if (day < c0 || day < 0 || !rolling[i].WindowFull()) continue;
-                  if (out.days.empty()) out.emit_start = day;
+                  PairOut& out = buffer->pairs[i];
+                  if (emit) out.quality.AddDay(far_row, near_row);
+                  if (!emit || !rolling[i].WindowFull()) continue;
                   const infer::DayClassification cls = rolling[i].Classify();
-                  out.days.push_back(
-                      {cls.recurring, cls.recurring ? cls.fraction : 0.0});
+                  fold.Add(cls.recurring, cls.fraction);
                   if (Fig9Eligible(pair, cls, day)) {
                     AddFig9Intervals(pair, cls, day,
                                      options.autocorr.bin_width, out.vp_hist,
                                      out.pacific_hist);
                   }
                 }
+                if (emit) buffer->days.push_back(fold);
               }
             },
-            [&merged, &members, buffer] {
-              for (std::size_t i = 0; i < members.size(); ++i) {
-                const PairOut& src = (*buffer)[i];
-                PairOut& dst = merged[members[i]];
-                if (dst.days.empty()) dst.emit_start = src.emit_start;
-                dst.days.insert(dst.days.end(), src.days.begin(),
-                                src.days.end());
-                dst.vp_hist.Merge(src.vp_hist);
-                dst.pacific_hist.Merge(src.pacific_hist);
-                dst.quality.Append(src.quality);
+            [&merged, g, buffer] {
+              LinkOut& dst = merged[g];
+              if (dst.days.empty()) dst.start = buffer->start;
+              dst.days.insert(dst.days.end(), buffer->days.begin(),
+                              buffer->days.end());
+              for (std::size_t i = 0; i < dst.pairs.size(); ++i) {
+                const PairOut& src = buffer->pairs[i];
+                dst.pairs[i].vp_hist.Merge(src.vp_hist);
+                dst.pairs[i].pacific_hist.Merge(src.pacific_hist);
+                dst.pairs[i].quality.Append(src.quality);
               }
             },
             [buffer] { return SaveLinkOut(*buffer); },
@@ -583,64 +584,42 @@ void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
   }
 
   // ---- phase: aggregate (calling thread, canonical order) ------------------
-  // Day-outer, pair-inner, link-sorted emission: every floating-point sum
-  // associates the same way whatever the shards were, and DayLinkTable
-  // ingests records in one order.
+  // Day-outer, link-ascending emission, so DayLinkTable ingests records in
+  // one order.
   struct TruthTask {
     std::int64_t day = 0;
     topo::LinkId link = 0;
-    double fraction = 0.0;
+    bool inferred = false;
   };
   std::vector<TruthTask> truth_tasks;
   {
     auto timer = metrics.Phase("aggregate");
-    std::map<topo::LinkId, std::pair<double, int>> today;
-    std::map<topo::LinkId, bool> today_observed;
-    std::map<topo::LinkId, const InterLinkInfo*> seen_ever, seen_final;
+    std::vector<bool> seen_ever(link_groups.size()),
+        seen_final(link_groups.size());
     for (std::int64_t day = 0; day < days; ++day) {
-      today.clear();
-      today_observed.clear();
-      for (std::size_t p = 0; p < pairs.size(); ++p) {
-        const PairOut& series = merged[p];
-        const std::int64_t idx = day - series.emit_start;
-        if (series.days.empty() || idx < 0 ||
-            idx >= static_cast<std::int64_t>(series.days.size())) {
+      for (std::size_t g = 0; g < link_groups.size(); ++g) {
+        const LinkOut& series = merged[g];
+        const std::int64_t idx = day - series.start;
+        if (idx < 0 || idx >= static_cast<std::int64_t>(series.days.size())) {
           continue;
         }
-        const VpLink& pair = pairs[p];
-        today_observed[pair.info->link] = true;
-        seen_ever.emplace(pair.info->link, pair.info);
-        if (day >= final_month_start) {
-          seen_final.emplace(pair.info->link, pair.info);
-        }
-        const DayOutcome& outcome =
+        const infer::LinkDayFold& fold =
             series.days[static_cast<std::size_t>(idx)];
-        if (outcome.recurring) {
-          auto& slot = today[pair.info->link];
-          slot.first += outcome.fraction;
-          slot.second += 1;
-        }
-      }
-      for (const auto& [link, seen] : today_observed) {
-        const InterLinkInfo* info = world.FindLink(link);
-        const auto it = today.find(link);
-        const double fraction =
-            it == today.end() || it->second.second == 0
-                ? 0.0
-                : it->second.first / static_cast<double>(it->second.second);
-        const analysis::DayLinkRecord record{day,       link,     info->access,
-                                             info->tcp, fraction, true};
+        if (fold.contributors == 0) continue;
+        const InterLinkInfo* info = pairs[link_groups[g].front()].info;
+        seen_ever[g] = true;
+        if (day >= final_month_start) seen_final[g] = true;
+        const analysis::DayLinkRecord record{
+            day, info->link, info->access, info->tcp, fold.Fraction(), true};
         result.day_links.Add(record);
         if (options.on_day_link) options.on_day_link(record);
         if (info->scheduled_congested) {
-          truth_tasks.push_back({day, link, fraction});
-        } else {
+          truth_tasks.push_back({day, info->link, fold.Congested()});
+        } else if (fold.Congested()) {
           // Links without a demand model are never truly congested.
-          if (fraction >= analysis::kDayLinkThreshold) {
-            ++result.truth_fp;
-          } else {
-            ++result.truth_tn;
-          }
+          ++result.truth_fp;
+        } else {
+          ++result.truth_tn;
         }
       }
       Notify(options, "aggregate", static_cast<std::size_t>(day) + 1,
@@ -648,25 +627,25 @@ void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
     }
     // Pairs that never produced a post-warmup row add no quality, so
     // `link_quality` only covers measured links.
-    std::map<topo::LinkId, infer::LinkQualityAccumulator> quality;
-    for (std::size_t p = 0; p < pairs.size(); ++p) {
-      const PairOut& series = merged[p];
-      if (series.vp_hist.Total(false) + series.vp_hist.Total(true) > 0) {
-        result.comcast_vp_hists[pairs[p].vp_name].Merge(series.vp_hist);
+    for (std::size_t g = 0; g < link_groups.size(); ++g) {
+      const InterLinkInfo* info = pairs[link_groups[g].front()].info;
+      infer::LinkQualityAccumulator quality;
+      bool measured = false;
+      for (std::size_t i = 0; i < link_groups[g].size(); ++i) {
+        const PairOut& out = merged[g].pairs[i];
+        if (out.vp_hist.Total(false) + out.vp_hist.Total(true) > 0) {
+          result.comcast_vp_hists[pairs[link_groups[g][i]].vp_name].Merge(
+              out.vp_hist);
+        }
+        result.comcast_consolidated.Merge(out.pacific_hist);
+        if (out.quality.far_total > 0) {
+          quality.Add(out.quality);
+          measured = true;
+        }
       }
-      result.comcast_consolidated.Merge(series.pacific_hist);
-      if (series.quality.far_total > 0) {
-        quality[pairs[p].info->link].Add(series.quality);
-      }
-    }
-    for (const auto& [link, acc] : quality) {
-      result.link_quality[link] = acc.Finish(days);
-    }
-    for (const auto& [link, info] : seen_ever) {
-      ++result.links_ever_by_access[info->access];
-    }
-    for (const auto& [link, info] : seen_final) {
-      ++result.links_final_month_by_access[info->access];
+      if (measured) result.link_quality[info->link] = quality.Finish(days);
+      if (seen_ever[g]) ++result.links_ever_by_access[info->access];
+      if (seen_final[g]) ++result.links_final_month_by_access[info->access];
     }
   }
 
@@ -678,11 +657,10 @@ void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
       const TruthTask& task = truth_tasks[i];
       const bool truly = TrulyCongestedDay(net, task.link, task.day, intervals,
                                            options.autocorr.bin_width);
-      const bool inferred = task.fraction >= analysis::kDayLinkThreshold;
-      if (truly && inferred) tp.fetch_add(1, std::memory_order_relaxed);
-      if (truly && !inferred) fn.fetch_add(1, std::memory_order_relaxed);
-      if (!truly && inferred) fp.fetch_add(1, std::memory_order_relaxed);
-      if (!truly && !inferred) tn.fetch_add(1, std::memory_order_relaxed);
+      if (truly && task.inferred) tp.fetch_add(1, std::memory_order_relaxed);
+      if (truly && !task.inferred) fn.fetch_add(1, std::memory_order_relaxed);
+      if (!truly && task.inferred) fp.fetch_add(1, std::memory_order_relaxed);
+      if (!truly && !task.inferred) tn.fetch_add(1, std::memory_order_relaxed);
     };
     if (pool.has_value()) {
       pool->ParallelFor(truth_tasks.size(), tally, /*grain=*/16);

@@ -1,8 +1,9 @@
 // The longitudinal study driver: operationalizes the full pipeline of
 // Figure 1 over the 22-month window for every vantage point — bdrmap
 // discovery, per-link TSLP series, rolling autocorrelation classification,
-// multi-VP merging into day-link records — and scores the result against the
-// simulator's ground truth (the "operator feedback" analogue, §5.4).
+// one infer::LinkDayFold per link-day into day-link records — and scores the
+// result against the simulator's ground truth (the "operator feedback"
+// analogue, §5.4).
 //
 // TSLP series for the long window are produced by TslpSynthesizer, which
 // evaluates the same demand/queue models the per-probe simulator uses but
@@ -202,8 +203,8 @@ struct StudyResult {
   // missing far bins), day-level VP churn summed across VPs. Links that
   // never produced a post-warmup row are absent.
   std::map<topo::LinkId, infer::DataQuality> link_quality;
-  // Day-link confusion matrix vs ground truth (>= 4% congested), the
-  // operator-validation analogue.
+  // Day-link confusion matrix vs ground truth (both sides congested at
+  // infer::kDayLinkThreshold), the operator-validation analogue.
   long long truth_tp = 0, truth_fp = 0, truth_fn = 0, truth_tn = 0;
   // The checkpoint log refused appends: a resume recomputes what it lacks.
   bool checkpoint_refused = false;

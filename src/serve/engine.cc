@@ -63,39 +63,30 @@ std::vector<VerdictRecord> ShardEngine::CloseDay(std::int64_t day) {
           : static_cast<int>(day) + 1;
   std::vector<VerdictRecord> verdicts;
   for (auto& [link, per_vp] : links_) {
-    double fraction_sum = 0.0;
-    std::uint32_t contributors = 0;
-    std::uint32_t asserting = 0;
+    infer::LinkDayFold fold;
     infer::LinkQualityAccumulator acc;
     bool measured = false;
     for (auto& [vp, state] : per_vp) {
       const infer::StreamingClassifier::DayOutcome outcome =
           state.CloseDay(day);
       if (outcome.classification) {
-        ++contributors;
-        if (outcome.classification->recurring) {
-          ++asserting;
-          fraction_sum += outcome.classification->fraction;
-        }
+        fold.Add(outcome.classification->recurring,
+                 outcome.classification->fraction);
       }
       if (state.quality().far_total > 0) {
         acc.Add(state.quality());
         measured = true;
       }
     }
-    // Same gate as the batch loop: a link gets a verdict on every day at
-    // least one of its VPs had a full window (today_observed), with the
-    // fraction averaged over recurring-asserting VPs (0 when none assert).
-    if (contributors == 0) continue;
+    if (fold.contributors == 0) continue;
     VerdictRecord v;
     v.day = day;
     v.link = link;
-    v.contributors = contributors;
-    v.asserting = asserting;
-    v.recurring = asserting > 0;
-    v.fraction =
-        asserting > 0 ? fraction_sum / static_cast<double>(asserting) : 0.0;
-    v.congested = v.fraction >= config_.congested_threshold_frac;
+    v.contributors = fold.contributors;
+    v.asserting = fold.asserting;
+    v.recurring = fold.asserting > 0;
+    v.fraction = fold.Fraction();
+    v.congested = fold.Congested();
     if (measured && day >= 0) {
       const infer::DataQuality q = acc.Finish(total_days);
       v.quality_ok = q.Acceptable(config_.autocorr.quality);

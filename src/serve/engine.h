@@ -1,10 +1,9 @@
 // Per-shard inference engine: the live counterpart of the batch study
 // driver's daily loop. Every (link, VP) pair owns an infer::StreamingClassifier
 // whose open-day bins fill one sample at a time; when the service closes a
-// day, the engine finalizes each pair, merges the asserting VPs exactly as
-// the batch loop does (mean fraction over recurring-asserting VPs, verdict
-// emitted for every link with at least one full-window VP), and grades the
-// link's DataQuality as of that day. Links are partitioned across shards by
+// day, the engine finalizes each pair, folds the link's VPs with
+// infer::LinkDayFold as the batch study does, and grades the link's
+// DataQuality as of that day. Links are partitioned across shards by
 // the service, so one engine always sees every VP of the links it owns —
 // the merge never crosses a shard boundary.
 //
@@ -28,9 +27,6 @@ namespace manic::serve {
 
 struct EngineConfig {
   infer::AutocorrConfig autocorr;
-  // Day-link congestion verdict threshold on the merged fraction
-  // (analysis::kDayLinkThreshold).
-  double congested_threshold_frac = 0.04;
 };
 
 class ShardEngine {

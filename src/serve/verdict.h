@@ -1,7 +1,7 @@
 // One row of the daemon's verdict log: the merged congestion verdict for a
-// link on a closed day, folded across every VP whose rolling window covered
-// that day — the live counterpart of one batch DayLinkRecord, plus the
-// PR-5 DataQuality grade. FormatVerdictLine is the canonical text encoding:
+// link on a closed day, one infer::LinkDayFold over its VPs — the live
+// counterpart of one batch DayLinkRecord, plus the link's DataQuality
+// grade. FormatVerdictLine is the canonical text encoding:
 // the replay-determinism gate byte-diffs whole logs, so the formatting is
 // fixed-precision and locale-free.
 #pragma once
@@ -17,10 +17,10 @@ namespace manic::serve {
 struct VerdictRecord {
   std::int64_t day = 0;  // epoch day (closed)
   topo::LinkId link = 0;
-  bool recurring = false;   // >= 1 contributing VP asserted recurrence
-  bool congested = false;   // fraction >= the day-link threshold
+  bool recurring = false;   // asserting > 0
+  bool congested = false;   // LinkDayFold::Congested()
   bool quality_ok = false;  // link DataQuality acceptable as of this day
-  double fraction = 0.0;    // mean congestion level over asserting VPs
+  double fraction = 0.0;    // LinkDayFold::Fraction()
   std::uint32_t contributors = 0;  // VP states with a full window this day
   std::uint32_t asserting = 0;     // of those, VPs asserting recurrence
   double far_coverage_frac = 0.0;  // link far-side coverage as of this day

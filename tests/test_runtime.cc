@@ -700,15 +700,16 @@ TEST(StudyCheckpoint, ResumeRestoresEveryShardAndAppendsNothing) {
 }
 
 // The study's shard keys are (link index << 16) | month chunk. A log whose
-// blobs at those keys carry an older blob version is recomputed, not
-// misread. Each stale blob has the current layout with the link's pair
-// count of empty outputs, so only its version word tells it apart: a
-// restore that read it would fold empty series and change the output.
-TEST(StudyCheckpoint, VersionOneBlobsAreRecomputed) {
+// blobs at those keys carry the previous blob version (2) is recomputed, not
+// misread. Two stale logs: one in the real version-2 layout (a day series
+// per pair), and one in the current layout stamped version 2, which only
+// the version word tells apart. Each holds the link's pair count of empty
+// outputs, so a restore that read it would fold empty series and change
+// the output.
+TEST(StudyCheckpoint, OlderBlobVersionsAreRecomputed) {
   const std::string fresh_path = testing::TempDir() + "manic_ckpt_fresh.log";
   const std::string stale_path = testing::TempDir() + "manic_ckpt_stale.log";
   std::remove(fresh_path.c_str());
-  std::remove(stale_path.c_str());
   const scenario::StudyResult fresh = RunMiniStudy(2, 0, nullptr, fresh_path);
   std::vector<std::pair<std::uint64_t, std::uint64_t>> link_shards;
   {
@@ -719,37 +720,44 @@ TEST(StudyCheckpoint, VersionOneBlobsAreRecomputed) {
       std::uint64_t version = 0, pairs = 0;
       ASSERT_TRUE(r.GetU64(&version) && r.GetU64(&pairs));
       ASSERT_TRUE(pairs >= 1 && pairs <= 4);  // one pair per VP at most
-      EXPECT_EQ(version, 2u);
+      EXPECT_EQ(version, 3u);
       link_shards.emplace_back(g << 16, pairs);
     }
     // Without month chunks, one shard per observed link.
     EXPECT_EQ(link_shards.size(), log.size());
   }
   EXPECT_EQ(link_shards.size(), fresh.links_observed);
-  {
-    runtime::CheckpointLog stale(stale_path);
-    for (const auto& [key, pairs] : link_shards) {
-      runtime::BlobWriter w;
-      w.PutU64(1);  // blob version
-      w.PutU64(pairs);
-      for (std::uint64_t p = 0; p < pairs; ++p) {
-        w.PutI64(0);                                   // emit_start
-        w.PutU64(0);                                   // no classified days
-        for (int i = 0; i < 2 * 2 * 24; ++i) w.PutI64(0);  // histograms
-        for (int i = 0; i < 9; ++i) w.PutI64(0);       // quality tally
-        w.PutU64(0);                                   // quality flags
-      }
-      ASSERT_EQ(stale.Record(key, w.Take()), runtime::LogStatus::kOk);
-    }
-  }
-  const scenario::StudyResult recomputed =
-      RunMiniStudy(2, 0, nullptr, stale_path);
-  EXPECT_EQ(Dump(recomputed), Dump(fresh));
-  // The recomputed shards were recorded again, as the fresh run saved them.
-  const runtime::CheckpointLog resaved(stale_path);
   const runtime::CheckpointLog reference(fresh_path);
-  for (const auto& [key, pairs] : link_shards) {
-    EXPECT_EQ(resaved.Lookup(key), reference.Lookup(key)) << "key " << key;
+  for (const bool v2_layout : {true, false}) {
+    SCOPED_TRACE(v2_layout ? "version-2 layout" : "current layout");
+    std::remove(stale_path.c_str());
+    {
+      runtime::CheckpointLog stale(stale_path);
+      for (const auto& [key, pairs] : link_shards) {
+        runtime::BlobWriter w;
+        w.PutU64(2);  // blob version
+        w.PutU64(pairs);
+        if (!v2_layout) w.PutU64(0);  // the link's day series: no days
+        for (std::uint64_t p = 0; p < pairs; ++p) {
+          if (v2_layout) {
+            w.PutI64(0);  // emit_start
+            w.PutU64(0);  // the pair's day series: no days
+          }
+          for (int i = 0; i < 2 * 2 * 24; ++i) w.PutI64(0);  // histograms
+          for (int i = 0; i < 9; ++i) w.PutI64(0);           // quality tally
+          w.PutU64(0);                                       // quality flags
+        }
+        ASSERT_EQ(stale.Record(key, w.Take()), runtime::LogStatus::kOk);
+      }
+    }
+    const scenario::StudyResult recomputed =
+        RunMiniStudy(2, 0, nullptr, stale_path);
+    EXPECT_EQ(Dump(recomputed), Dump(fresh));
+    // The recomputed shards were recorded again, as the fresh run saved them.
+    const runtime::CheckpointLog resaved(stale_path);
+    for (const auto& [key, pairs] : link_shards) {
+      EXPECT_EQ(resaved.Lookup(key), reference.Lookup(key)) << "key " << key;
+    }
   }
   std::remove(fresh_path.c_str());
   std::remove(stale_path.c_str());
@@ -868,6 +876,41 @@ TEST(StudyExecutor, RefusedCheckpointAppendStopsSavingOnly) {
   ASSERT_EQ(faulted.merged.size(), 4u);
   EXPECT_EQ(resumed.merged, faulted.merged);
   EXPECT_EQ(RunCheckpointed(path, nullptr).works, 0);
+  std::remove(path.c_str());
+}
+
+// With no pool, each shard's work runs just before its own merge: when
+// shard k's work starts, shards 0..k-1 are already merged, recorded in the
+// checkpoint log and reported, so a kill mid-study keeps every finished
+// shard and progress arrives as the shards finish.
+TEST(StudyExecutor, WithoutAPoolEachShardIsRecordedBeforeTheNextWork) {
+  const std::string path = testing::TempDir() + "manic_ckpt_nopool.log";
+  std::remove(path.c_str());
+  runtime::StudyExecutor executor(nullptr);
+  runtime::CheckpointLog checkpoint(path);
+  std::size_t merged = 0;
+  std::size_t reported = 0;
+  std::vector<runtime::StudyExecutor::Shard> shards;
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    runtime::StudyExecutor::Shard shard;
+    shard.key = k;
+    shard.work = [k, &merged, &reported, &checkpoint] {
+      EXPECT_EQ(merged, k);
+      EXPECT_EQ(checkpoint.size(), k);
+      EXPECT_EQ(reported, k);
+    };
+    shard.merge = [&merged] { ++merged; };
+    shard.save = [k] { return std::to_string(k); };
+    shard.restore = [](const std::string&) { return true; };
+    shards.push_back(std::move(shard));
+  }
+  executor.Execute(
+      std::move(shards),
+      [&reported](std::size_t done, std::size_t) { reported = done; },
+      &checkpoint);
+  EXPECT_EQ(merged, 4u);
+  EXPECT_EQ(reported, 4u);
+  EXPECT_EQ(checkpoint.size(), 4u);
   std::remove(path.c_str());
 }
 

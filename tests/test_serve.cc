@@ -451,8 +451,8 @@ TEST(ShardEngine, MergesVpsLikeTheBatchLoop) {
 }
 
 TEST(ShardEngine, LossSamplesDoNotFeedInference) {
-  ShardEngine with_loss{EngineConfig{SmallConfig(), 0.04}};
-  ShardEngine without{EngineConfig{SmallConfig(), 0.04}};
+  ShardEngine with_loss{EngineConfig{SmallConfig()}};
+  ShardEngine without{EngineConfig{SmallConfig()}};
   std::vector<float> far, near;
   std::vector<Sample> samples;
   for (std::int64_t day = 0; day < 8; ++day) {
@@ -473,7 +473,7 @@ TEST(ShardEngine, LossSamplesDoNotFeedInference) {
 }
 
 TEST(ShardEngine, DropsSamplesForClosedDays) {
-  ShardEngine engine{EngineConfig{SmallConfig(), 0.04}};
+  ShardEngine engine{EngineConfig{SmallConfig()}};
   std::vector<float> far, near;
   std::vector<Sample> samples;
   DayRows(0xF00D, 0, false, far, near);
