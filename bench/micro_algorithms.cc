@@ -1,8 +1,8 @@
 // Microbenchmarks (google-benchmark) of the performance-critical algorithms
 // and the ablation comparisons DESIGN.md calls out: batch vs rolling
-// autocorrelation, fluid vs packet-level queue model, prefix-trie lookup,
-// BGP route computation, per-probe simulation cost, and the level-shift
-// detector.
+// autocorrelation, one link-day of synthesized TSLP rounds, fluid vs
+// packet-level queue model, prefix-trie lookup, BGP route computation,
+// per-probe simulation cost, and the level-shift detector.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 #include "infer/rolling.h"
 #include "runtime/seed_tree.h"
 #include "runtime/thread_pool.h"
+#include "scenario/driver.h"
 #include "scenario/small.h"
 #include "sim/packet_queue.h"
 #include "stats/rng.h"
@@ -72,6 +73,24 @@ void BM_AutocorrRollingPerDay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AutocorrRollingPerDay);
+
+void BM_LinkRoundsPerDay(benchmark::State& state) {
+  // The synthesis partner of BM_AutocorrRollingPerDay: one link-day of
+  // 5-minute TSLP rounds (288) on the small scenario's congested link, the
+  // step the study shares across every VP that sees the link. The shape
+  // table is built once, as the study builds one per link.
+  auto s = scenario::MakeSmallScenario();
+  const scenario::TslpSynthesizer synth(*s.net, s.peering_nyc, 20.0, 10.0, 7);
+  const sim::DiurnalTable table = synth.ShapeTable();
+  std::vector<scenario::TslpSynthesizer::Round> rounds;
+  std::int64_t day = 0;
+  for (auto _ : state) {
+    synth.LinkRounds(day, table, rounds);
+    benchmark::DoNotOptimize(rounds.data());
+    day = (day + 1) % 365;
+  }
+}
+BENCHMARK(BM_LinkRoundsPerDay);
 
 void BM_LevelShift(benchmark::State& state) {
   stats::Rng rng(5);

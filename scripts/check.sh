@@ -33,8 +33,9 @@
 #      under TSan) and a crashloop kill/recover cycle (WAL replay and the
 #      drain path under TSan), then ASan (-DMANIC_SANITIZE=address) running
 #      the runtime, framed-log, serve and WAL suites — every parser of
-#      on-disk log bytes — then UBSan (-DMANIC_SANITIZE=undefined,
-#      non-recoverable) running the full suite
+#      on-disk log bytes — and the driver suite, whose bin-width tests read
+#      rows whose length comes from the study config, then UBSan
+#      (-DMANIC_SANITIZE=undefined, non-recoverable) running the full suite
 #      (set MANIC_CHECK_SKIP_UBSAN=1 to skip the UBSan half);
 #   6. static analysis: manic_lint --json over src/ bench/ tests/ examples/
 #      with the graph passes active against tools/manic_lint/layers.txt,
@@ -194,15 +195,16 @@ rm -rf "$OUT_DIR/tsan_crashloop"
 echo "TSan crashloop OK (2 seeded kills, recover + drain under the race detector)."
 # The durable-log parsers (framed-log reader, WAL recovery, checkpoint load)
 # and the wire codec under AddressSanitizer: torn, truncated, foreign and
-# hostile bytes must never read out of bounds.
+# hostile bytes must never read out of bounds. The driver suite rides along:
+# its studies at 5-minute and hour bins must never read past a row.
 cmake -B build-asan -S . -DMANIC_SANITIZE=address >/dev/null
-ASAN_TESTS="test_runtime test_framed_log test_serve test_serve_wal"
+ASAN_TESTS="test_runtime test_framed_log test_serve test_serve_wal test_driver"
 # shellcheck disable=SC2086
 cmake --build build-asan -j "$JOBS" --target $ASAN_TESTS
 for t in $ASAN_TESTS; do
   ./build-asan/tests/"$t" --gtest_brief=1
 done
-echo "ASan log-parser suites OK ($ASAN_TESTS)."
+echo "ASan log-parser and driver suites OK ($ASAN_TESTS)."
 if [ "${MANIC_CHECK_SKIP_UBSAN:-0}" != "1" ]; then
   cmake -B build-ubsan -S . -DMANIC_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "$JOBS"

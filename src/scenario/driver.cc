@@ -1,10 +1,13 @@
 #include "scenario/driver.h"
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 
 #include "bdrmap/bdrmap.h"
 #include "infer/rolling.h"
@@ -29,7 +32,14 @@ TslpSynthesizer::TslpSynthesizer(sim::SimNetwork& net, topo::LinkId link,
       base_far_(base_far_rtt_ms),
       base_near_(base_near_rtt_ms),
       noise_key_(noise_key),
-      config_(config) {}
+      config_(config) {
+  if (config.bin_width <= 0 || config.bin_width % sim::kSlotSec != 0 ||
+      kSecPerDay % config.bin_width != 0) {
+    throw std::invalid_argument(
+        "TslpSynthesizer: bin_width must be a positive multiple of 300 s "
+        "that divides a day");
+  }
+}
 
 int TslpSynthesizer::Intervals() const {
   return static_cast<int>(kSecPerDay / config_.bin_width);
@@ -37,35 +47,42 @@ int TslpSynthesizer::Intervals() const {
 
 // TSLP probes every 5 minutes.
 int TslpSynthesizer::RoundsPerBin() const {
-  return std::max(1, static_cast<int>(config_.bin_width / 300));
+  return static_cast<int>(config_.bin_width / sim::kSlotSec);
+}
+
+sim::DiurnalTable TslpSynthesizer::ShapeTable() const {
+  return net_->ShapeTable(link_, Direction::kBtoA);
 }
 
 void TslpSynthesizer::Day(std::int64_t day, std::vector<float>& far,
                           std::vector<float>& near) const {
   std::vector<Round> rounds;
-  LinkRounds(day, rounds);
+  LinkRounds(day, ShapeTable(), rounds);
   PairDay(day, rounds, far, near);
 }
 
 void TslpSynthesizer::LinkRounds(std::int64_t day,
+                                 const sim::DiurnalTable& table,
                                  std::vector<Round>& rounds) const {
-  const int intervals = Intervals();
-  const int per_bin = RoundsPerBin();
   // Each round carries its share of the bin's probes.
   const double samples_per_round =
-      static_cast<double>(config_.samples_per_bin) / per_bin;
-  rounds.resize(static_cast<std::size_t>(intervals) *
-                static_cast<std::size_t>(per_bin));
-  const TimeSec day_start = day * kSecPerDay;
-  std::size_t i = 0;
-  for (int s = 0; s < intervals; ++s) {
-    for (int k = 0; k < per_bin; ++k, ++i) {
-      const TimeSec tk = day_start + s * config_.bin_width + k * 300;
-      // The far-side reply rides the congested content->access queue.
-      const sim::QueueObservation obs =
-          net_->ObservedQueue(link_, Direction::kBtoA, tk);
-      rounds[i] = {obs.delay_ms, std::pow(obs.loss_prob, samples_per_round)};
+      static_cast<double>(config_.samples_per_bin) / RoundsPerBin();
+  // Bins tile the day's 5-minute grid, so bin-major round i is slot i.
+  std::array<sim::QueueObservation, sim::kSlotsPerDay> obs;
+  // The far-side reply rides the congested content->access queue.
+  net_->ObservedQueueDay(link_, Direction::kBtoA, day, table, obs);
+  rounds.resize(obs.size());
+  // Below saturation the queue's loss is its constant floor, so most rounds
+  // repeat the previous round's input: raise it only when its bits change.
+  double p_lost = 0.0;
+  std::uint64_t loss_bits = 0;
+  for (std::size_t i = 0; i < obs.size(); ++i) {
+    const auto bits = std::bit_cast<std::uint64_t>(obs[i].loss_prob);
+    if (i == 0 || bits != loss_bits) {
+      p_lost = std::pow(obs[i].loss_prob, samples_per_round);
+      loss_bits = bits;
     }
+    rounds[i] = {obs[i].delay_ms, p_lost};
   }
 }
 
@@ -204,6 +221,15 @@ class StudySetup {
         warmup(options.warmup_days),
         world_(world),
         options_(options) {
+    // Before the hook goes in: a throwing constructor runs no destructor.
+    const infer::AutocorrConfig& bins = options.autocorr;
+    if (bins.bin_width <= 0 || bins.bin_width % sim::kSlotSec != 0 ||
+        static_cast<TimeSec>(bins.intervals_per_day) * bins.bin_width !=
+            kSecPerDay) {
+      throw std::invalid_argument(
+          "StudyOptions::autocorr: bin_width must be a positive multiple of "
+          "300 s and intervals_per_day bins must make one day");
+    }
     if (options.fault_plan != nullptr) {
       injector_.emplace(*options.fault_plan,
                         runtime::SeedTree(options.seed).Child("faults"));
@@ -270,8 +296,10 @@ std::vector<VpLink> StudySetup::DiscoverPairs() {
         }
       }
       pairs.push_back(
-          {TslpSynthesizer(net, vp, dl.info->link, dl.base_far_ms,
-                           dl.base_near_ms, seeds.Leaf(vp, dl.info->link)),
+          {TslpSynthesizer(
+               net, vp, dl.info->link, dl.base_far_ms, dl.base_near_ms,
+               seeds.Leaf(vp, dl.info->link),
+               TslpSynthesizer::Config{.bin_width = options.autocorr.bin_width}),
            dl.vp_name, dl.info, from, until, vp, dl.vp_utc_offset,
            world.topo->vp(vp).host_as == UsBroadband::kComcast});
     }
@@ -317,13 +345,17 @@ void AddFig9Intervals(const VpLink& pair, const infer::DayClassification& cls,
   }
 }
 
-// Ground truth for one (link, day), sampled at the inference bin width.
+// Ground truth for one (link, day), sampled at the start of every
+// inference bin. `table` is the link's content->access ShapeTable.
 bool TrulyCongestedDay(const sim::SimNetwork& net, topo::LinkId link,
-                       std::int64_t day, int intervals, TimeSec bin_width) {
+                       const sim::DiurnalTable& table, std::int64_t day,
+                       int intervals, TimeSec bin_width) {
+  std::array<double, sim::kSlotsPerDay> u;
+  net.MeanUtilizationDay(link, Direction::kBtoA, day, table, u);
+  const auto slots_per_bin = static_cast<std::size_t>(bin_width / sim::kSlotSec);
   int congested_bins = 0;
   for (int s = 0; s < intervals; ++s) {
-    const TimeSec t = day * kSecPerDay + static_cast<TimeSec>(s) * bin_width;
-    if (net.MeanUtilization(link, Direction::kBtoA, t) >= 0.96) {
+    if (u[static_cast<std::size_t>(s) * slots_per_bin] >= 0.96) {
       ++congested_bins;
     }
   }
@@ -524,6 +556,7 @@ void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
               std::vector<TslpSynthesizer::Round> rounds;
               std::vector<float> far_row, near_row;
               const TslpSynthesizer& link_synth = pairs[members.front()].synth;
+              const sim::DiurnalTable table = link_synth.ShapeTable();
               for (std::int64_t day = c0 - warm_days; day < c1; ++day) {
                 const bool emit = day >= buffer->start;
                 bool have_rounds = false;
@@ -532,7 +565,7 @@ void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
                   const VpLink& pair = pairs[members[i]];
                   if (!pair.VisibleOn(day)) continue;
                   if (!have_rounds) {
-                    link_synth.LinkRounds(day, rounds);
+                    link_synth.LinkRounds(day, table, rounds);
                     have_rounds = true;
                   }
                   pair.synth.PairDay(day, rounds, far_row, near_row);
@@ -588,12 +621,15 @@ void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
   // one order.
   struct TruthTask {
     std::int64_t day = 0;
-    topo::LinkId link = 0;
+    std::uint32_t link_index = 0;  // into truth_links
     bool inferred = false;
   };
   std::vector<TruthTask> truth_tasks;
+  std::vector<topo::LinkId> truth_links;
   {
     auto timer = metrics.Phase("aggregate");
+    constexpr auto kNoTruth = std::numeric_limits<std::uint32_t>::max();
+    std::vector<std::uint32_t> truth_index(link_groups.size(), kNoTruth);
     std::vector<bool> seen_ever(link_groups.size()),
         seen_final(link_groups.size());
     for (std::int64_t day = 0; day < days; ++day) {
@@ -614,7 +650,11 @@ void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
         result.day_links.Add(record);
         if (options.on_day_link) options.on_day_link(record);
         if (info->scheduled_congested) {
-          truth_tasks.push_back({day, info->link, fold.Congested()});
+          if (truth_index[g] == kNoTruth) {
+            truth_index[g] = static_cast<std::uint32_t>(truth_links.size());
+            truth_links.push_back(info->link);
+          }
+          truth_tasks.push_back({day, truth_index[g], fold.Congested()});
         } else if (fold.Congested()) {
           // Links without a demand model are never truly congested.
           ++result.truth_fp;
@@ -652,11 +692,18 @@ void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
   // ---- phase: ground truth (parallel; integer tallies are order-free) ------
   {
     auto timer = metrics.Phase("truth");
+    // One shape table per link, shared read-only by that link's tasks.
+    std::vector<sim::DiurnalTable> tables;
+    tables.reserve(truth_links.size());
+    for (const topo::LinkId link : truth_links) {
+      tables.push_back(net.ShapeTable(link, Direction::kBtoA));
+    }
     std::atomic<long long> tp{0}, fp{0}, fn{0}, tn{0};
     const auto tally = [&](std::size_t i) {
       const TruthTask& task = truth_tasks[i];
-      const bool truly = TrulyCongestedDay(net, task.link, task.day, intervals,
-                                           options.autocorr.bin_width);
+      const bool truly = TrulyCongestedDay(
+          net, truth_links[task.link_index], tables[task.link_index], task.day,
+          intervals, options.autocorr.bin_width);
       if (truly && task.inferred) tp.fetch_add(1, std::memory_order_relaxed);
       if (truly && !task.inferred) fn.fetch_add(1, std::memory_order_relaxed);
       if (!truly && task.inferred) fp.fetch_add(1, std::memory_order_relaxed);
@@ -715,6 +762,11 @@ void ExportStudyStream(UsBroadband& world, const StudyOptions& options,
   for (std::size_t g = 0; g < link_groups.size(); ++g) {
     for (const std::size_t p : link_groups[g]) group_of[p] = g;
   }
+  std::vector<sim::DiurnalTable> tables;
+  tables.reserve(link_groups.size());
+  for (const std::vector<std::size_t>& members : link_groups) {
+    tables.push_back(pairs[members.front()].synth.ShapeTable());
+  }
   std::vector<std::vector<TslpSynthesizer::Round>> rounds(link_groups.size());
   std::vector<std::int64_t> rounds_day(link_groups.size(),
                                        std::numeric_limits<std::int64_t>::min());
@@ -725,7 +777,7 @@ void ExportStudyStream(UsBroadband& world, const StudyOptions& options,
       if (!pair.VisibleOn(day)) continue;
       const std::size_t g = group_of[p];
       if (rounds_day[g] != day) {
-        pair.synth.LinkRounds(day, rounds[g]);
+        pair.synth.LinkRounds(day, tables[g], rounds[g]);
         rounds_day[g] = day;
       }
       pair.synth.PairDay(day, rounds[g], far_row, near_row);

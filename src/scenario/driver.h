@@ -7,7 +7,7 @@
 //
 // TSLP series for the long window are produced by TslpSynthesizer, which
 // evaluates the same demand/queue models the per-probe simulator uses but
-// one 15-minute bin at a time (the equivalence is tested in
+// one link-day of 5-minute rounds at a time (the equivalence is tested in
 // test_driver.cc); the focused validation benches run the real per-probe
 // TSLP scheduler instead.
 #pragma once
@@ -32,12 +32,19 @@ namespace manic::scenario {
 // probing round, which depends on the link alone, and PairDay turns those
 // rounds into this pair's rows (VP outages, jitter, missing bins, dropped
 // writes). Every VP that sees a link can therefore share one LinkRounds.
+//
+// LinkRounds reads the link's demand a day at a time
+// (SimNetwork::ObservedQueueDay) through a sim::DiurnalTable that its
+// caller builds once, with ShapeTable, before walking the link's days.
 class TslpSynthesizer {
  public:
   struct Config {
     double base_missing_prob = 0.01;  // bins lost to probing gaps
     int samples_per_bin = 6;          // TSLP probes contributing a bin's min
     double jitter_ms = 0.25;          // spread of the per-bin minimum
+    // A positive multiple of the 5-minute round that divides a day (the
+    // constructor throws std::invalid_argument otherwise), so every round
+    // falls on the demand model's slot grid.
     stats::TimeSec bin_width = 900;
   };
 
@@ -81,15 +88,23 @@ class TslpSynthesizer {
                         noise_key, Config{}) {}
 
   // Fills `far` / `near` (each intervals-per-day long) for epoch day `day`:
-  // LinkRounds, then PairDay.
+  // LinkRounds, then PairDay. Builds a ShapeTable per call; loops over many
+  // days call the two steps themselves with one table.
   void Day(std::int64_t day, std::vector<float>& far,
            std::vector<float>& near) const;
 
+  // The diurnal table of the link's content->access demand, which
+  // LinkRounds reads. Read-only once built; one per link serves every day
+  // and every synthesizer of the link.
+  sim::DiurnalTable ShapeTable() const;
+
   // Fills `rounds` with the link's rounds for epoch day `day`, bin-major
-  // (intervals x rounds-per-bin). A function of the link, the network and
-  // the config only: any synthesizer of the same link and config fills the
-  // same rounds, whichever VP it stands in for.
-  void LinkRounds(std::int64_t day, std::vector<Round>& rounds) const;
+  // (intervals x rounds-per-bin, i.e. the day's 5-minute slots in order).
+  // A function of the link, the network and the config only: any
+  // synthesizer of the same link and config fills the same rounds,
+  // whichever VP it stands in for. `table` is ShapeTable().
+  void LinkRounds(std::int64_t day, const sim::DiurnalTable& table,
+                  std::vector<Round>& rounds) const;
 
   // Fills `far` / `near` for epoch day `day` from that day's LinkRounds
   // (rounds of another length, i.e. another config's, give a missing day).
@@ -146,6 +161,9 @@ using StudyProgressFn = std::function<void(const StudyProgress&)>;
 struct StudyOptions {
   int days = -1;          // default: the full 22-month window
   int warmup_days = 50;   // classification needs a full window first
+  // Also sets the synthesizer's bins: bin_width must be a positive multiple
+  // of 300 s and intervals_per_day * bin_width one day, or the study and
+  // stream entry points throw std::invalid_argument.
   infer::AutocorrConfig autocorr;
   std::uint64_t seed = 99;
   // Restrict to N vantage points (0 = all); tests use a subset for speed.

@@ -7,7 +7,9 @@
 // congestion dissipating in July 2017).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "stats/calendar.h"
@@ -17,6 +19,12 @@ namespace manic::sim {
 // Simulated time flows through every sim interface; re-exported here so the
 // measurement stack can keep writing sim::TimeSec.
 using stats::TimeSec;
+
+// The demand model's noise slot, which is also the TSLP probing round: a
+// utilization evaluated on this grid can be read from a DiurnalTable.
+inline constexpr TimeSec kSlotSec = 5 * stats::kSecPerMin;
+inline constexpr int kSlotsPerDay =
+    static_cast<int>(stats::kSecPerDay / kSlotSec);
 
 // Smooth diurnal shape in (0, 1]: ~base overnight, 1.0 at the evening peak.
 struct DiurnalShape {
@@ -29,6 +37,23 @@ struct DiurnalShape {
 
   // Shape value for a local fractional hour; wraps around midnight.
   double At(double local_hour, bool weekend) const noexcept;
+};
+
+// DiurnalShape::At at every local 5-minute slot of a weekday and of a
+// weekend day, bit for bit, so a day of slots costs table reads instead of
+// two exp() each. It is 4.5 KiB: build one per link where a loop walks that
+// link's days, never one per link of the topology.
+class DiurnalTable {
+ public:
+  explicit DiurnalTable(const DiurnalShape& shape) noexcept;
+
+  double At(int local_slot, bool weekend) const noexcept {
+    return value_[static_cast<std::size_t>(weekend ? kSlotsPerDay : 0) +
+                  static_cast<std::size_t>(local_slot)];
+  }
+
+ private:
+  std::array<double, 2 * kSlotsPerDay> value_{};
 };
 
 // One scheduled demand regime for a link.
@@ -57,6 +82,16 @@ struct LinkDemand {
 
   // Utilization with reproducible per-5-minute noise.
   double Utilization(TimeSec t, int utc_offset_hours) const noexcept;
+
+  // The day-granular forms: out[i] is MeanUtilization / Utilization at
+  // StartOfDay(day) + i * kSlotSec, bit for bit, for every slot of the UTC
+  // day. `table` must be built from `shape`.
+  void MeanDayUtilization(std::int64_t day, int utc_offset_hours,
+                          const DiurnalTable& table,
+                          std::span<double, kSlotsPerDay> out) const noexcept;
+  void DayUtilization(std::int64_t day, int utc_offset_hours,
+                      const DiurnalTable& table,
+                      std::span<double, kSlotsPerDay> out) const noexcept;
 };
 
 }  // namespace manic::sim

@@ -1,6 +1,7 @@
 #include "sim/network.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
 
@@ -53,10 +54,14 @@ void SimNetwork::InvalidatePaths() {
   routing_.Invalidate();
 }
 
-double SimNetwork::FaultedUtilization(const LinkDemand& demand,
-                                      const LinkDynamics& dyn, LinkId link,
-                                      TimeSec t, bool* up) const {
-  double u = demand.Utilization(t, dyn.utc_offset_hours);
+const LinkDemand* SimNetwork::DemandOf(LinkId link, Direction dir) const {
+  if (dynamics_.size() <= link) return nullptr;
+  const auto& demand = dynamics_[link].demand[static_cast<int>(dir)];
+  return demand ? &*demand : nullptr;
+}
+
+double SimNetwork::ApplyLinkFault(LinkId link, TimeSec t, double u,
+                                  bool* up) const {
   if (up != nullptr) *up = true;
   if (fault_hook_ != nullptr) {
     const FaultHook::LinkState fs = fault_hook_->LinkAt(link, t);
@@ -71,28 +76,72 @@ double SimNetwork::FaultedUtilization(const LinkDemand& demand,
   return u;
 }
 
+double SimNetwork::FaultedUtilization(const LinkDemand& demand,
+                                      const LinkDynamics& dyn, LinkId link,
+                                      TimeSec t, bool* up) const {
+  return ApplyLinkFault(link, t, demand.Utilization(t, dyn.utc_offset_hours),
+                        up);
+}
+
 double SimNetwork::MeanUtilization(LinkId link, Direction dir,
                                    TimeSec t) const {
-  if (dynamics_.size() <= link) return 0.0;
-  const auto& demand = dynamics_[link].demand[static_cast<int>(dir)];
-  if (!demand) return 0.0;
-  double u = demand->MeanUtilization(t, dynamics_[link].utc_offset_hours);
-  if (fault_hook_ != nullptr) {
-    const FaultHook::LinkState fs = fault_hook_->LinkAt(link, t);
-    if (!fs.up) return 0.0;
-    if (fs.capacity_scale_frac > 0.0 && fs.capacity_scale_frac < 1.0) {
-      u /= fs.capacity_scale_frac;
-    }
+  const LinkDemand* demand = DemandOf(link, dir);
+  if (demand == nullptr) return 0.0;
+  return ApplyLinkFault(
+      link, t, demand->MeanUtilization(t, dynamics_[link].utc_offset_hours),
+      nullptr);
+}
+
+DiurnalTable SimNetwork::ShapeTable(LinkId link, Direction dir) const {
+  const LinkDemand* demand = DemandOf(link, dir);
+  return DiurnalTable(demand != nullptr ? demand->shape : DiurnalShape{});
+}
+
+void SimNetwork::ObservedQueueDay(LinkId link, Direction dir, std::int64_t day,
+                                  const DiurnalTable& table,
+                                  std::span<QueueObservation, kSlotsPerDay> out)
+    const {
+  const LinkDemand* demand = DemandOf(link, dir);
+  if (demand == nullptr) {
+    std::fill(out.begin(), out.end(), QueueObservation{});
+    return;
   }
-  return u;
+  const LinkDynamics& dyn = dynamics_[link];
+  std::array<double, kSlotsPerDay> u{};
+  demand->DayUtilization(day, dyn.utc_offset_hours, table, u);
+  const TimeSec day_start = StartOfDay(day);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    bool up = true;
+    const double ui = ApplyLinkFault(
+        link, day_start + static_cast<TimeSec>(i) * kSlotSec, u[i], &up);
+    // Nothing queues on a dead link, and it loses every packet.
+    out[i] = up ? dyn.queue.Observe(ui)
+                : QueueObservation{.delay_ms = 0.0, .loss_prob = 1.0};
+  }
+}
+
+void SimNetwork::MeanUtilizationDay(LinkId link, Direction dir,
+                                    std::int64_t day, const DiurnalTable& table,
+                                    std::span<double, kSlotsPerDay> out) const {
+  const LinkDemand* demand = DemandOf(link, dir);
+  if (demand == nullptr) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
+  }
+  demand->MeanDayUtilization(day, dynamics_[link].utc_offset_hours, table,
+                             out);
+  if (fault_hook_ == nullptr) return;
+  const TimeSec day_start = StartOfDay(day);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = ApplyLinkFault(
+        link, day_start + static_cast<TimeSec>(i) * kSlotSec, out[i], nullptr);
+  }
 }
 
 double SimNetwork::TrueCongestedFraction(LinkId link, Direction dir,
                                          std::int64_t day,
                                          double threshold) const {
-  if (dynamics_.size() <= link) return 0.0;
-  const auto& demand = dynamics_[link].demand[static_cast<int>(dir)];
-  if (!demand) return 0.0;
+  if (DemandOf(link, dir) == nullptr) return 0.0;
   const TimeSec start = StartOfDay(day);
   int congested_minutes = 0;
   for (int m = 0; m < 1440; ++m) {
@@ -485,10 +534,9 @@ SimNetwork::RecordRouteReply SimNetwork::ProbeRecordRoute(VpId vp,
 
 QueueObservation SimNetwork::ObservedQueue(LinkId link, Direction dir,
                                           TimeSec t) const {
-  if (dynamics_.size() <= link) return {};
+  const LinkDemand* demand = DemandOf(link, dir);
+  if (demand == nullptr) return {};
   const LinkDynamics& dyn = dynamics_[link];
-  const auto& demand = dyn.demand[static_cast<int>(dir)];
-  if (!demand) return {};
   bool up = true;
   const double u = FaultedUtilization(*demand, dyn, link, t, &up);
   // Nothing queues on a dead link, and it loses every packet.

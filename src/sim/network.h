@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sim/demand.h"
@@ -162,6 +163,19 @@ class SimNetwork {
   // link is down.
   QueueObservation ObservedQueue(LinkId link, Direction dir, TimeSec t) const;
 
+  // ---- day-granular queries -------------------------------------------------
+  // A day of 5-minute slots at once: out[i] is the per-time query's answer
+  // at StartOfDay(day) + i * kSlotSec, bit for bit. `table` is
+  // ShapeTable(link, dir), built once before a loop over the link's days.
+  // An installed fault hook is still asked about every slot.
+  DiurnalTable ShapeTable(LinkId link, Direction dir) const;
+  void ObservedQueueDay(LinkId link, Direction dir, std::int64_t day,
+                        const DiurnalTable& table,
+                        std::span<QueueObservation, kSlotsPerDay> out) const;
+  void MeanUtilizationDay(LinkId link, Direction dir, std::int64_t day,
+                          const DiurnalTable& table,
+                          std::span<double, kSlotsPerDay> out) const;
+
   // ---- bulk-transfer view ---------------------------------------------------
   // Path quality between a VP and a destination at time t (for NDT/YouTube).
   PathMetrics MetricsFor(VpId vp, Ipv4Addr dst, FlowId flow, TimeSec t);
@@ -218,6 +232,11 @@ class SimNetwork {
   // a down link carries nothing).
   double FaultedUtilization(const LinkDemand& demand, const LinkDynamics& dyn,
                             LinkId link, TimeSec t, bool* up) const;
+  // Utilization `u` of `link` at time t under the installed fault hook's
+  // link state; `*up` (when non-null) reports whether the link is up.
+  double ApplyLinkFault(LinkId link, TimeSec t, double u, bool* up) const;
+  // The demand model of one link direction, or null when none is attached.
+  const LinkDemand* DemandOf(LinkId link, Direction dir) const;
 
   topo::Topology* topo_ = nullptr;
   BgpRouting routing_;

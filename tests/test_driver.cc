@@ -6,6 +6,9 @@
 
 #include <bit>
 #include <cmath>
+#include <span>
+#include <stdexcept>
+#include <utility>
 
 #include "analysis/classify.h"
 #include "bdrmap/bdrmap.h"
@@ -138,11 +141,11 @@ TEST(TslpSynthesizer, PairStepOverSharedRoundsMatchesDay) {
   double peak_delay_ms = 0.0;
   int clean_far = 0, faulted_far = 0;
   for (std::int64_t day = 0; day < 2; ++day) {
-    clean.LinkRounds(day, shared);
+    clean.LinkRounds(day, clean.ShapeTable(), shared);
     ASSERT_EQ(shared.size(), 96u * 3u);
     // The link step does not depend on which of the link's synthesizers
     // computes it.
-    faulted.LinkRounds(day, own);
+    faulted.LinkRounds(day, faulted.ShapeTable(), own);
     ASSERT_EQ(own.size(), shared.size());
     for (std::size_t i = 0; i < shared.size(); ++i) {
       EXPECT_EQ(std::bit_cast<std::uint64_t>(own[i].delay_ms),
@@ -183,6 +186,89 @@ TEST(TslpSynthesizer, HourBinsOnAnUncongestedLinkHaveFarBins) {
   ASSERT_EQ(far.size(), 24u);
   EXPECT_GE(PresentBins(far), 20);
   EXPECT_GE(PresentBins(near), 20);
+}
+
+// Every round must fall on the demand model's 5-minute grid, so a bin is a
+// whole number of rounds and a day a whole number of bins.
+TEST(TslpSynthesizer, RejectsBinsOffTheFiveMinuteGrid) {
+  auto s = MakeSmallScenario();
+  TslpSynthesizer::Config config;
+  for (const sim::TimeSec width : {0, -900, 450, 2100, 2 * 86400}) {
+    config.bin_width = width;
+    EXPECT_THROW(TslpSynthesizer(*s.net, s.peering_lax, 20.0, 10.0, 5, config),
+                 std::invalid_argument)
+        << width;
+  }
+  for (const sim::TimeSec width : {300, 900, 3600, 86400}) {
+    config.bin_width = width;
+    EXPECT_NO_THROW(
+        TslpSynthesizer(*s.net, s.peering_lax, 20.0, 10.0, 5, config))
+        << width;
+  }
+}
+
+UsBroadband MiniWorld() {
+  UsBroadbandOptions options;
+  options.link_scale = 0.4;
+  return MakeUsBroadband(options);
+}
+
+// The study's synthesizers take their bins from options.autocorr, so the
+// rows the analyzer reads hold intervals_per_day bins: with hour bins the
+// whole day is classified (a 96-bin row would leave 18 hours unread), and
+// with 5-minute bins no read runs past a row's end.
+TEST(StudyBinWidth, RowsFollowTheAutocorrBins) {
+  for (const int intervals : {24, 288}) {
+    StudyOptions options;
+    options.days = 12;
+    options.max_vps = 2;
+    options.autocorr.intervals_per_day = intervals;
+    options.autocorr.bin_width = 86400 / intervals;
+    UsBroadband streamed = MiniWorld();
+    std::size_t rows = 0, short_rows = 0;
+    ExportStudyStream(streamed, options,
+                      [&](topo::VpId, topo::LinkId, std::int64_t,
+                          std::span<const float> far,
+                          std::span<const float> near) {
+                        ++rows;
+                        if (far.size() != static_cast<std::size_t>(intervals) ||
+                            near.size() != far.size()) {
+                          ++short_rows;
+                        }
+                      });
+    EXPECT_GT(rows, 100u) << intervals;
+    EXPECT_EQ(short_rows, 0u) << intervals;
+    UsBroadband world = MiniWorld();
+    const StudyResult result = RunLongitudinalStudy(world, options);
+    EXPECT_GT(result.day_links.TotalRecords(), 100) << intervals;
+    EXPECT_GT(result.truth_tp + result.truth_tn, 100) << intervals;
+  }
+}
+
+TEST(StudyBinWidth, MismatchedBinsThrowBeforeAnythingRuns) {
+  UsBroadband world = MiniWorld();
+  const sim::faults::FaultPlan plan;
+  StudyOptions options;
+  options.days = 12;
+  options.max_vps = 1;
+  options.fault_plan = &plan;
+  const std::pair<sim::TimeSec, int> bad[] = {
+      {3600, 96}, {300, 96}, {450, 192}, {0, 96}, {900, 95}};
+  for (const auto& [width, intervals] : bad) {
+    options.autocorr.bin_width = width;
+    options.autocorr.intervals_per_day = intervals;
+    EXPECT_THROW(RunLongitudinalStudy(world, options), std::invalid_argument)
+        << width << " s x " << intervals;
+    EXPECT_THROW(ExportStudyStream(world, options,
+                                   [](topo::VpId, topo::LinkId, std::int64_t,
+                                      std::span<const float>,
+                                      std::span<const float>) {}),
+                 std::invalid_argument)
+        << width << " s x " << intervals;
+    // The throw leaves no fault hook behind.
+    EXPECT_EQ(world.net->fault_hook(), nullptr);
+  }
+  EXPECT_EQ(world.net->ProbesSent(), 0u);
 }
 
 class ReducedStudyTest : public ::testing::Test {

@@ -6,10 +6,14 @@
 // expectation used by the loss module.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 
+#include "runtime/seed_tree.h"
 #include "scenario/small.h"
 #include "sim/demand.h"
+#include "sim/faults/fault_injector.h"
 #include "sim/link_model.h"
 #include "sim/network.h"
 #include "sim/packet_queue.h"
@@ -31,6 +35,7 @@ using stats::kSecPerMin;
 using stats::LocalHour;
 using stats::LocalWeekday;
 using stats::SecondOfDayUtc;
+using stats::StartOfDay;
 using stats::StudyMonthLabel;
 using stats::StudyMonthOfDay;
 using stats::StudyMonthStartDay;
@@ -128,6 +133,53 @@ TEST(Demand, NoiseIsReproducibleAndBounded) {
   }
   EXPECT_LT(max_rel, 0.25);
   EXPECT_GT(max_rel, 0.0);
+}
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The day-granular entries read the diurnal shape from a table by local
+// slot and local weekend flag; every slot must give exactly the bits the
+// per-time functions give. The days cover warm-up (negative) days, weekends
+// and the UTC days in which the local weekend starts or ends, under ramped
+// and overlapping regimes; the offsets put local midnight anywhere in the
+// UTC day.
+TEST(Demand, DayUtilizationMatchesPerTimeBitForBit) {
+  LinkDemand demand;
+  demand.shape.peak_width_h = 2.9;
+  demand.default_peak_utilization = 0.7;
+  demand.regimes.push_back({-40, -5, 1.1, 0.8});  // warm-up ramp down
+  demand.regimes.push_back({0, 12, 1.25});
+  demand.regimes.push_back({6, 30, 0.9, 1.5});  // ramp over the regime above
+  demand.noise_seed = 1234;
+  const DiurnalTable table(demand.shape);
+  std::array<double, kSlotsPerDay> mean{}, noisy{};
+  int mixed_weekend_days = 0;
+  for (const double sigma : {0.0, 0.04}) {
+    demand.noise_sigma = sigma;
+    for (int tz = -10; tz <= 10; ++tz) {
+      for (std::int64_t day = -45; day <= 32; ++day) {
+        demand.MeanDayUtilization(day, tz, table, mean);
+        demand.DayUtilization(day, tz, table, noisy);
+        int weekend_slots = 0;
+        for (int i = 0; i < kSlotsPerDay; ++i) {
+          const TimeSec t = StartOfDay(day) + i * kSlotSec;
+          ASSERT_EQ(Bits(mean[static_cast<std::size_t>(i)]),
+                    Bits(demand.MeanUtilization(t, tz)))
+              << "day " << day << " tz " << tz << " slot " << i;
+          ASSERT_EQ(Bits(noisy[static_cast<std::size_t>(i)]),
+                    Bits(demand.Utilization(t, tz)))
+              << "sigma " << sigma << " day " << day << " tz " << tz
+              << " slot " << i;
+          weekend_slots += IsWeekend(LocalWeekday(t, tz)) ? 1 : 0;
+        }
+        if (weekend_slots > 0 && weekend_slots < kSlotsPerDay) {
+          ++mixed_weekend_days;
+        }
+      }
+    }
+  }
+  // Not vacuous: the local weekend begins or ends inside many UTC days.
+  EXPECT_GT(mixed_weekend_days, 100);
 }
 
 // -------------------------------------------------------------- link model
@@ -432,6 +484,54 @@ TEST_F(ProbeSemanticsTest, GroundTruthCongestedFraction) {
   // Forward (access->content) direction of the NYC link is mild.
   EXPECT_DOUBLE_EQ(
       s_.net->TrueCongestedFraction(s_.peering_nyc, Direction::kAtoB, 2), 0.0);
+}
+
+// The network's day entries against its per-time queries, slot by slot and
+// bit for bit, with and without a fault schedule in which the congested
+// link goes down for part of day 3 and browns out over part of its evening
+// peak on day 4. The transit link has no demand model.
+TEST_F(ProbeSemanticsTest, DayQueriesMatchPerTimeQueriesUnderFaults) {
+  const LinkId nyc = s_.peering_nyc;
+  faults::FaultPlan plan;
+  plan.LinkDown(nyc, 3 * kSecPerDay + 2 * kSecPerHour + 7 * kSecPerMin,
+                3 * kSecPerDay + 4 * kSecPerHour);
+  plan.LinkBrownout(nyc, 4 * kSecPerDay + 23 * kSecPerHour,
+                    5 * kSecPerDay + 1 * kSecPerHour + 30 * kSecPerMin, 0.8);
+  const faults::FaultInjector injector(plan, runtime::SeedTree(5).Child("f"));
+  std::array<QueueObservation, kSlotsPerDay> obs{};
+  std::array<double, kSlotsPerDay> mean{};
+  int down_slots = 0, saturated_slots = 0;
+  for (const bool faulted : {false, true}) {
+    s_.net->SetFaultHook(faulted ? &injector : nullptr);
+    for (const LinkId link : {nyc, s_.peering_lax, s_.transit_access}) {
+      for (const Direction dir : {Direction::kAtoB, Direction::kBtoA}) {
+        const DiurnalTable table = s_.net->ShapeTable(link, dir);
+        for (std::int64_t day = -2; day <= 6; ++day) {
+          s_.net->ObservedQueueDay(link, dir, day, table, obs);
+          s_.net->MeanUtilizationDay(link, dir, day, table, mean);
+          for (int i = 0; i < kSlotsPerDay; ++i) {
+            const TimeSec t = StartOfDay(day) + i * kSlotSec;
+            const QueueObservation want = s_.net->ObservedQueue(link, dir, t);
+            const auto k = static_cast<std::size_t>(i);
+            ASSERT_EQ(Bits(obs[k].delay_ms), Bits(want.delay_ms))
+                << "link " << link << " day " << day << " slot " << i;
+            ASSERT_EQ(Bits(obs[k].loss_prob), Bits(want.loss_prob))
+                << "link " << link << " day " << day << " slot " << i;
+            ASSERT_EQ(Bits(mean[k]),
+                      Bits(s_.net->MeanUtilization(link, dir, t)))
+                << "link " << link << " day " << day << " slot " << i;
+            down_slots += obs[k].loss_prob == 1.0 ? 1 : 0;
+            saturated_slots += mean[k] >= 1.0 ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  s_.net->SetFaultHook(nullptr);
+  // Not vacuous: the outage covers 22 slots of day 3 in each direction, and
+  // the link saturates every evening.
+  EXPECT_EQ(down_slots, 2 * 22);
+  EXPECT_GT(saturated_slots, 100);
 }
 
 TEST_F(ProbeSemanticsTest, MetricsForSeesDownstreamCongestion) {
