@@ -179,6 +179,10 @@ cmake --build build-tsan -j "$JOBS" --target test_runtime test_driver \
 # blobs saved from them all run under the race detector.
 MANIC_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
   -R 'Study|CheckpointLog|ThreadPool|SeedTree|TslpSynthesizer|ReducedStudy'
+# The executor's shard claims race the pool by design, so one schedule is
+# thin evidence: run its tests until one fails, 20 times.
+MANIC_THREADS=4 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
+  -R StudyExecutor --repeat until-fail:20
 # The serving plane under TSan: daemon event loop + 4 shard workers + the
 # collector handshake, exercised by the faulted chaos study end to end.
 ./build-tsan/examples/example_continental_study 45 4 4 \

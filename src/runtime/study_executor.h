@@ -1,11 +1,11 @@
 // The deterministic fork/join skeleton of the parallel study engine. A study
 // is cut into shards keyed by stable identifiers ((link, month-chunk) in
-// the longitudinal driver); every shard's `work` runs concurrently on the
-// pool and writes only to buffers it owns, then every shard's `merge` runs
-// on the calling thread in ascending key order. With no pool, each work
-// runs on the calling thread just before its own merge. Because the merge
-// order is a pure function of the keys — never of scheduling — the folded
-// result is bit-identical run-to-run and thread-count-to-thread-count,
+// the longitudinal driver); each shard's `work` writes only to buffers it
+// owns and runs on a pool worker or on the calling thread, whichever claims
+// it first, and each shard's `merge` runs on the calling thread in
+// ascending key order as soon as that shard's work is done. Because the
+// merge order is a pure function of the keys — never of scheduling — the
+// folded result is bit-identical run-to-run and thread-count-to-thread-count,
 // floating-point accumulation order included.
 #pragma once
 
@@ -15,7 +15,6 @@
 
 #include "runtime/checkpoint.h"
 #include "runtime/metrics.h"
-#include "runtime/thread_annotations.h"
 #include "runtime/thread_pool.h"
 
 namespace manic::runtime {
@@ -46,27 +45,14 @@ struct RuntimeOptions {
   static RuntimeOptions FromEnv(int default_threads = 0);
 };
 
-// Stall watchdog for the parallel phase. When stall_timeout_s elapses and
-// unfinished shards remain, shards still *queued* are reclaimed from the
-// pool and executed on the calling thread (a wedged pool cannot strand
-// them); shards already *running* cannot be preempted and are only
-// reported. `on_stall(requeued, stuck)` fires once, at reclaim time.
-// Because shard works own isolated buffers and merges replay in key order,
-// where a shard ran never shows in the output.
-struct WatchdogOptions {
-  double stall_timeout_s = 0.0;  // 0: watchdog disabled
-  double poll_interval_s = 0.5;
-  std::function<void(std::size_t requeued, std::size_t stuck)> on_stall;
-};
-
 class StudyExecutor {
  public:
   struct Shard {
     std::uint64_t key = 0;  // stable identity; also the canonical merge rank
-    std::function<void()> work;   // parallel phase; owns its output buffer
-    std::function<void()> merge;  // serial phase; folds the buffer in
+    std::function<void()> work;   // any thread; owns its output buffer
+    std::function<void()> merge;  // calling thread; folds the buffer in
     // Checkpoint seam (both or neither): `save` serializes the work buffer
-    // after the work phase; `restore` repopulates it from a saved blob so
+    // after the work; `restore` repopulates it from a saved blob so
     // the work can be skipped, returning false to reject the blob (format
     // drift) and recompute.
     std::function<std::string()> save;
@@ -78,37 +64,34 @@ class StudyExecutor {
   explicit StudyExecutor(ThreadPool* pool, Metrics* metrics = nullptr)
       : pool_(pool), metrics_(metrics) {}
 
-  // Runs all shard works concurrently (the calling thread participates),
-  // then merges serially in ascending (key, insertion-index) order; with no
-  // pool, each work runs in key order just before its merge.
+  // Runs every shard's work and merges the shards in ascending
+  // (key, insertion-index) order, each as soon as its work is done. With a
+  // pool, one task per shard is submitted, and the calling thread walks the
+  // shards in key order: it runs the next shard itself if no worker has
+  // claimed it, else the highest-keyed shard still unclaimed, and sleeps
+  // only when every shard left is already running. A wedged pool therefore
+  // cannot strand a queued shard. With no pool, every work runs on the
+  // calling thread in key order just before its merge.
   // `progress(done, total)` fires from the calling thread after each merge.
   //
   // With a CheckpointLog, shards whose key has a saved blob restore it and
   // skip the work phase; every other shard is recorded (in canonical merge
-  // order) as it merges, and a resumed run's final fold is byte-identical
-  // to an uninterrupted one. With no pool, a shard is recorded as soon as
-  // its work is done, so a killed study keeps every shard it finished; with
-  // a pool, nothing is recorded until every work has finished.
-  // With WatchdogOptions::stall_timeout_s > 0, the parallel phase runs under
-  // the stall watchdog; without a pool nothing is queued elsewhere, so it
-  // has nothing to reclaim.
+  // order) as it merges, so a killed study keeps every shard merged before
+  // the kill, at any thread count, and a resumed run's final fold is
+  // byte-identical to an uninterrupted one.
+  //
+  // If a merge, save or progress callback throws, shards no thread has
+  // claimed are dropped and running works are waited out before the
+  // exception propagates. The executor must not be called from a task of
+  // its own pool.
   void Execute(std::vector<Shard> shards,
                const std::function<void(std::size_t, std::size_t)>& progress =
                    {},
-               CheckpointLog* checkpoint = nullptr,
-               const WatchdogOptions& watchdog = {});
-
-  // Shard works finished so far in the current (or most recent) Execute()
-  // call's parallel phase. Workers bump it concurrently, so it is the one
-  // piece of cross-thread mutable state the executor owns; a monitor thread
-  // may poll it for liveness.
-  std::size_t CompletedWorks() const EXCLUDES(mu_);
+               CheckpointLog* checkpoint = nullptr);
 
  private:
   ThreadPool* pool_ = nullptr;
   Metrics* metrics_ = nullptr;
-  mutable Mutex mu_;
-  std::size_t completed_works_ GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace manic::runtime

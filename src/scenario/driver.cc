@@ -507,9 +507,10 @@ void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
   const std::vector<std::vector<std::size_t>> link_groups = PairsByLink(pairs);
   result.links_observed = link_groups.size();
 
-  // One thread means no pool: the caller joins in under ParallelFor, so even
-  // a one-worker pool would run two threads. The executor then runs every
-  // shard on the calling thread, and so does the truth phase.
+  // One thread means no pool: the caller runs shards and truth tasks while
+  // it waits, so even a one-worker pool would run two threads. The executor
+  // then runs every shard on the calling thread, and so does the truth
+  // phase.
   const int threads = options.runtime.ResolvedThreads();
   std::optional<runtime::ThreadPool> pool;
   if (threads > 1) pool.emplace(threads, &metrics);
@@ -539,6 +540,13 @@ void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
         end = std::max(end, pairs[p].visible_until);
       }
       end = std::min<std::int64_t>(end, days);
+      // Merges run between works on the calling thread, so a link series
+      // grown there would fragment the heap the works allocate from: size
+      // each one up front (a fold per day in [max(begin, 0), end)).
+      const std::int64_t first_day = std::max<std::int64_t>(begin, 0);
+      if (end > first_day) {
+        merged[g].days.reserve(static_cast<std::size_t>(end - first_day));
+      }
       std::int64_t c0 = begin;
       for (std::uint64_t chunk = 0; c0 < end; ++chunk) {
         const std::int64_t c1 =
@@ -612,7 +620,7 @@ void RunDailyLoop(UsBroadband& world, const StudyOptions& options,
         [&](std::size_t done, std::size_t total) {
           Notify(options, "classify", done, total);
         },
-        checkpoint.has_value() ? &*checkpoint : nullptr, options.watchdog);
+        checkpoint.has_value() ? &*checkpoint : nullptr);
     result.checkpoint_refused = checkpoint && !checkpoint->writable();
   }
 

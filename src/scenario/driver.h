@@ -187,13 +187,10 @@ struct StudyOptions {
   // RunLongitudinalStudy call.
   const sim::faults::FaultPlan* fault_plan = nullptr;
   // Shard checkpoint log (empty = none). Every shard is saved to it as it
-  // merges, at any thread count; a killed study resumes from the log
-  // byte-identically.
+  // merges, and shards merge in key order as soon as their work is done, at
+  // any thread count; a killed study keeps every shard merged before the
+  // kill and resumes from the log byte-identically.
   std::string checkpoint_path;
-  // Stall watchdog for the parallel phase (stall_timeout_s = 0 disables).
-  // At threads = 1 there is no pool, so nothing can stall and the watchdog
-  // never fires.
-  runtime::WatchdogOptions watchdog;
   // Optional per-record sink, invoked (from the calling thread, in emission
   // order) for every day-link record as it enters the result table. The
   // serving plane's parity harness uses this to capture the batch pipeline's

@@ -62,7 +62,7 @@ enum class MsgType : std::uint8_t {
 // ingest rejected with kErrDegraded.
 struct WatermarkInfo {
   std::uint64_t samples_consumed = 0;
-  std::int64_t watermark_t = 0;      // newest admitted timestamp
+  std::int64_t watermark_t = 0;      // newest admitted timestamp or seed
   std::int64_t last_closed_day = 0;  // kNoDayClosed encoding when none
   bool degraded = false;
   bool saw_sample = false;

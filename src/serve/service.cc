@@ -166,14 +166,14 @@ WalRecoverStats CongestionService::RecoverFromWal() {
       },
       [this, &bad_marker](std::int64_t day) {
         // A live close never leaves the sample bounds: walking to a marker
-        // outside them could take ~1e14 days. One before any sample is a
-        // clock-driven first close, seeded as PollClock did; one for a day
-        // already closed is a no-op (a first sample can land past it).
+        // outside them could take ~1e14 days. One before any sample is
+        // PollClock's seed and re-seeds as it did; one for a day already
+        // closed is a no-op.
         bad_marker |= day < -kMaxAbsSampleDay || day > kMaxAbsSampleDay;
         if (bad_marker) return;
         if (!saw_sample_) {
-          saw_sample_ = true;
-          producer_last_closed_ = day - 1;
+          SeedClosedThrough(day);
+          return;
         }
         CloseThrough(day);
       });
@@ -236,11 +236,22 @@ void CongestionService::PollClock() {
   if (config_.clock == nullptr) return;
   const std::int64_t today = stats::DayOf(config_.clock->NowSec());
   if (!saw_sample_) {
-    saw_sample_ = true;
-    producer_last_closed_ = today - 1;
+    // The first poll before any sample starts the stream at today. Its
+    // close marker is the seed's durable record: no sample precedes it in
+    // the log, so replay re-seeds from it (see RecoverFromWal).
+    SeedClosedThrough(today - 1);
+    if (WalLive() && wal_->AppendClose(today - 1) != WalStatus::kOk) {
+      EnterDegraded();
+    }
     return;
   }
   CloseThrough(today - 1);
+}
+
+void CongestionService::SeedClosedThrough(std::int64_t day) {
+  saw_sample_ = true;
+  producer_last_closed_ = day;
+  watermark_t_ = stats::StartOfDay(day + 1);
 }
 
 std::int64_t CongestionService::FinishStream() {

@@ -128,7 +128,8 @@ class CongestionService {
   SubmitOutcome Submit(const Sample& s);
   SubmitSummary SubmitBatch(std::span<const Sample> samples);
   // Live mode: closes every day that ended before the configured clock's
-  // now. No-op without a clock.
+  // now; a first call before any sample instead starts the stream at
+  // today, closing nothing. No-op without a clock.
   void PollClock();
   // Stream mode: closes through the watermark day (the newest day any
   // submitted sample touched). Returns the last closed day.
@@ -155,6 +156,10 @@ class CongestionService {
   // so clock-driven closes recover deterministically too).
   SubmitOutcome SubmitOne(const Sample& s, bool live);
   void CloseThrough(std::int64_t target_day);
+  // Starts an empty stream as if every day through `day` had closed: the
+  // watermark moves to the next day's start, so that day's samples pass
+  // the max_day_jump check and earlier ones are late. Closes nothing.
+  void SeedClosedThrough(std::int64_t day);
   bool WalLive() const noexcept {
     return wal_ != nullptr && wal_->is_open() && !degraded_ && !replaying_;
   }

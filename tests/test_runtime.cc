@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -791,10 +792,10 @@ TEST(Blob, ExactBitsRoundTrip) {
   EXPECT_FALSE(r.GetU64(&u));  // reads past the end fail, not wrap
 }
 
-// ---- executor: checkpoint seam and watchdog --------------------------------
+// ---- executor: checkpoint seam and claims ---------------------------------
 
-// What one checkpointed four-shard study did: its folded output, and how
-// many shards ran their work and were serialized for the log.
+// What one checkpointed study did: its folded output, and how many shards
+// ran their work and were serialized for the log.
 struct CheckpointedRun {
   std::vector<double> merged;
   int works = 0;
@@ -802,16 +803,19 @@ struct CheckpointedRun {
   bool writable = false;  // the log still took appends at the end
 };
 
-CheckpointedRun RunCheckpointed(const std::string& path,
-                                const runtime::IoFaultHook* fault_hook) {
+// Runs `shard_count` shards on a two-worker pool; `progress` may throw.
+CheckpointedRun RunCheckpointed(
+    const std::string& path, const runtime::IoFaultHook* fault_hook,
+    std::uint64_t shard_count = 4,
+    const std::function<void(std::size_t, std::size_t)>& progress = {}) {
   runtime::ThreadPool pool(2);
   runtime::StudyExecutor executor(&pool);
   runtime::CheckpointLog checkpoint(path, fault_hook);
   CheckpointedRun result;
   std::vector<runtime::StudyExecutor::Shard> shards;
-  auto buffers = std::make_shared<std::vector<double>>(4, 0.0);
+  auto buffers = std::make_shared<std::vector<double>>(shard_count, 0.0);
   std::atomic<int> works{0};
-  for (std::uint64_t k = 0; k < 4; ++k) {
+  for (std::uint64_t k = 0; k < shard_count; ++k) {
     runtime::StudyExecutor::Shard shard;
     shard.key = k;
     shard.work = [k, buffers, &works] {
@@ -836,7 +840,7 @@ CheckpointedRun RunCheckpointed(const std::string& path,
     };
     shards.push_back(std::move(shard));
   }
-  executor.Execute(std::move(shards), {}, &checkpoint);
+  executor.Execute(std::move(shards), progress, &checkpoint);
   result.works = works.load(std::memory_order_relaxed);
   result.writable = checkpoint.writable();
   return result;
@@ -914,27 +918,118 @@ TEST(StudyExecutor, WithoutAPoolEachShardIsRecordedBeforeTheNextWork) {
   std::remove(path.c_str());
 }
 
-TEST(StudyExecutor, WatchdogReclaimsQueuedShardsFromAWedgedPool) {
+// With a pool, too, each shard is merged, recorded and reported as soon as
+// its work is done, not after the last work: a shard k >= 1 that runs on
+// the worker waits (bounded) for shard 0's record, which only the calling
+// thread can write. Shards the caller runs wait (bounded) until the worker
+// has started one, so the worker surely runs some shard k >= 1.
+TEST(StudyExecutor, WithAPoolEachShardIsRecordedAsItMerges) {
+  const std::string path = testing::TempDir() + "manic_ckpt_pool.log";
+  std::remove(path.c_str());
+  runtime::ThreadPool pool(1);
+  runtime::StudyExecutor executor(&pool);
+  runtime::CheckpointLog checkpoint(path);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> worker_started{false};
+  std::atomic<bool> first_recorded{false};
+  std::atomic<int> worker_waits{0};
+  std::atomic<int> waits_in_time{0};
+  // Polls `ready` for at most about five seconds.
+  const auto wait_for = [](const std::function<bool()>& ready) {
+    for (int polls = 0; polls < 5000; ++polls) {
+      if (ready()) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return ready();
+  };
+  std::vector<runtime::StudyExecutor::Shard> shards;
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    runtime::StudyExecutor::Shard shard;
+    shard.key = k;
+    shard.work = [&, k] {
+      if (std::this_thread::get_id() == caller) {
+        (void)wait_for([&] {
+          return worker_started.load(std::memory_order_acquire);
+        });
+      } else if (k >= 1) {
+        worker_started.store(true, std::memory_order_release);
+        worker_waits.fetch_add(1, std::memory_order_relaxed);
+        if (wait_for([&] {
+              return first_recorded.load(std::memory_order_acquire);
+            })) {
+          waits_in_time.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    };
+    shard.save = [k] { return std::to_string(k); };
+    shard.restore = [](const std::string&) { return true; };
+    shards.push_back(std::move(shard));
+  }
+  executor.Execute(
+      std::move(shards),
+      [&](std::size_t done, std::size_t) {
+        // Progress fires on the calling thread right after each record.
+        if (done == 1 && checkpoint.size() == 1) {
+          first_recorded.store(true, std::memory_order_release);
+        }
+      },
+      &checkpoint);
+  EXPECT_EQ(checkpoint.size(), 4u);
+  // Execute drained the pool, so its tasks' counts are settled here.
+  const int waits = worker_waits.load(std::memory_order_relaxed);
+  EXPECT_GE(waits, 1);
+  EXPECT_EQ(waits_in_time.load(std::memory_order_relaxed), waits);
+  std::remove(path.c_str());
+}
+
+// A progress callback that throws at tick 3 unwinds Execute only after the
+// pool has drained (its tasks reference Execute's frame): the log keeps
+// exactly the three shards merged before the throw, and a resume from it
+// recomputes the rest and folds to the uninterrupted result.
+TEST(StudyExecutor, ThrowingProgressDrainsThePoolFirst) {
+  const std::string path = testing::TempDir() + "manic_ckpt_throw.log";
+  const std::string reference = testing::TempDir() + "manic_ckpt_ref.log";
+  std::remove(path.c_str());
+  std::remove(reference.c_str());
+  EXPECT_THROW(RunCheckpointed(path, nullptr, 8,
+                               [](std::size_t done, std::size_t) {
+                                 if (done == 3) {
+                                   throw std::runtime_error("progress");
+                                 }
+                               }),
+               std::runtime_error);
+  EXPECT_EQ(runtime::CheckpointLog(path).size(), 3u);
+
+  const CheckpointedRun resumed = RunCheckpointed(path, nullptr, 8);
+  const CheckpointedRun uninterrupted = RunCheckpointed(reference, nullptr, 8);
+  EXPECT_EQ(resumed.works, 5);
+  EXPECT_EQ(uninterrupted.works, 8);
+  ASSERT_EQ(uninterrupted.merged.size(), 8u);
+  EXPECT_EQ(resumed.merged, uninterrupted.merged);
+  std::remove(path.c_str());
+  std::remove(reference.c_str());
+}
+
+TEST(StudyExecutor, AWedgedPoolCannotStrandQueuedShards) {
   // One worker, four shards that all block on a gate only the calling
   // thread can open: the worker wedges on the shard it grabs, the rest sit
-  // queued — a wedged-pool stall the watchdog must break by reclaiming the
-  // queued shards onto the calling thread. Exact requeued/stuck counts race
-  // with the worker recovering once the gate opens, so the test pins the
-  // invariants: the stall fires once, something was reclaimed, the grabbed
-  // shard was seen stuck, and nothing is stranded or folded out of order.
+  // queued. The calling thread claims a queued shard instead of waiting,
+  // opens the gate, and nothing is stranded or folded out of order.
   runtime::ThreadPool pool(1);
   runtime::StudyExecutor executor(&pool);
   const std::thread::id caller = std::this_thread::get_id();
   std::atomic<bool> release{false};
+  std::atomic<int> caller_works{0};
   std::vector<std::uint64_t> merged;
   std::vector<runtime::StudyExecutor::Shard> shards;
   for (std::uint64_t k = 0; k < 4; ++k) {
     runtime::StudyExecutor::Shard shard;
     shard.key = k;
-    shard.work = [&release, caller] {
-      // A reclaimed shard runs on the calling thread and opens the gate.
-      if (std::this_thread::get_id() == caller)
+    shard.work = [&release, &caller_works, caller] {
+      if (std::this_thread::get_id() == caller) {
+        caller_works.fetch_add(1, std::memory_order_relaxed);
         release.store(true, std::memory_order_release);
+      }
       while (!release.load(std::memory_order_acquire)) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
       }
@@ -942,22 +1037,8 @@ TEST(StudyExecutor, WatchdogReclaimsQueuedShardsFromAWedgedPool) {
     shard.merge = [k, &merged] { merged.push_back(k); };
     shards.push_back(std::move(shard));
   }
-  std::size_t observed_requeued = 0, observed_stuck = 0;
-  int stall_calls = 0;
-  runtime::WatchdogOptions watchdog;
-  watchdog.stall_timeout_s = 0.1;
-  watchdog.poll_interval_s = 0.02;
-  watchdog.on_stall = [&](std::size_t requeued, std::size_t stuck) {
-    observed_requeued = requeued;
-    observed_stuck = stuck;
-    ++stall_calls;
-  };
-  executor.Execute(std::move(shards), {}, nullptr, watchdog);
-  EXPECT_EQ(stall_calls, 1);
-  EXPECT_GE(observed_requeued, 1u);
-  EXPECT_GE(observed_stuck, 1u);
-  EXPECT_LE(observed_requeued + observed_stuck, 4u);
-  EXPECT_EQ(executor.CompletedWorks(), 4u);
+  executor.Execute(std::move(shards));
+  EXPECT_GE(caller_works.load(std::memory_order_relaxed), 1);
   // Where a shard ran never shows in the fold: canonical key order.
   EXPECT_EQ(merged, (std::vector<std::uint64_t>{0, 1, 2, 3}));
 }

@@ -599,6 +599,32 @@ TEST(CongestionService, ManualClockClosesDaysInLiveMode) {
   service.Stop();
 }
 
+// A wall clock reads a real-epoch day. The first poll starts the stream
+// at today, so today's samples pass the max_day_jump check against the
+// watermark and a sample from before the start is late.
+TEST(CongestionService, ClockSeededStartAcceptsTodaysSamples) {
+  constexpr std::int64_t kToday = 20'000;  // 2024-10-04
+  runtime::ManualClock clock(stats::StartOfDay(kToday) + 3'600);
+  ServiceConfig config = SmallServiceConfig(1);
+  config.clock = &clock;
+  CongestionService service(config);
+  service.Start();
+  service.PollClock();
+  EXPECT_EQ(service.Watermark().watermark_t, stats::StartOfDay(kToday));
+  EXPECT_EQ(service.Watermark().last_closed_day, kToday - 1);
+  EXPECT_EQ(service.LastClosedDay(), kNoDayClosed);  // the seed closes nothing
+  EXPECT_EQ(service.Submit({clock.NowSec(), 1, 1, SampleKind::kFarRtt, 5.0f}),
+            SubmitOutcome::kAccepted);
+  EXPECT_EQ(service.Submit({stats::StartOfDay(kToday - 1), 1, 1,
+                            SampleKind::kFarRtt, 5.0f}),
+            SubmitOutcome::kLate);
+  // The next midnight closes today as usual.
+  clock.Set(stats::StartOfDay(kToday + 1) + 1);
+  service.PollClock();
+  EXPECT_EQ(service.LastClosedDay(), kToday);
+  service.Stop();
+}
+
 TEST(CongestionService, RetentionTrimsRawPoints) {
   ServiceConfig unbounded = SmallServiceConfig(1);
   ServiceConfig bounded = SmallServiceConfig(1);

@@ -594,10 +594,10 @@ TEST(ServiceWal, ClockDrivenFirstCloseRecovers) {
   recovered.Stop();
 }
 
-// The first sample can land days past a clock-seeded close: live logs the
-// batch, then markers for the days in between, but replay seeds the sequence
-// from that sample, so those markers name days already closed and are
-// no-ops. The recovered service still matches the live one.
+// The first sample can land days past a clock-seeded start: live logs the
+// seed's marker, the batch, then markers for the days in between. Replay
+// re-seeds from the first marker and closes the days in between as live
+// did, so the recovered service matches the live one.
 TEST(ServiceWal, SampleAfterClockSeededCloseRecovers) {
   WalDir dir("clock_seed_sample");
   runtime::ManualClock clock(2 * stats::kSecPerDay + 7);
@@ -624,9 +624,44 @@ TEST(ServiceWal, SampleAfterClockSeededCloseRecovers) {
   CongestionService recovered(config);
   const WalRecoverStats stats = recovered.RecoverFromWal();
   ASSERT_TRUE(stats.ok) << stats.error;
-  EXPECT_EQ(stats.closes, 6u);
+  EXPECT_EQ(stats.closes, 7u);  // the seed's marker, then days 2-7
   EXPECT_EQ(recovered.Watermark(), want_mark);
   EXPECT_EQ(recovered.VerdictLogText(), want);
+  recovered.Stop();
+}
+
+// A clock seed on a real-epoch day is durable: a sample older than the
+// seed is late live and again on replay, and the recovered watermark is
+// the live one, seed included.
+TEST(ServiceWal, ClockSeedIsLoggedAndReplayed) {
+  WalDir dir("clock_seed_epoch");
+  constexpr std::int64_t kToday = 20'000;  // 2024-10-04
+  runtime::ManualClock clock(stats::StartOfDay(kToday) + 3'600);
+  ServiceConfig config = WalServiceConfig(dir.path);
+  config.clock = &clock;
+  const Sample old_sample = {stats::StartOfDay(kToday - 2) + 60, 1, 1,
+                             SampleKind::kFarRtt, 5.0f};
+  const Sample today_sample = {clock.NowSec(), 1, 1, SampleKind::kFarRtt,
+                               5.0f};
+  WatermarkInfo want_mark;
+  {
+    CongestionService live(config);
+    ASSERT_TRUE(live.RecoverFromWal().ok);
+    live.PollClock();
+    EXPECT_EQ(live.Submit(old_sample), SubmitOutcome::kLate);
+    EXPECT_EQ(live.Submit(today_sample), SubmitOutcome::kAccepted);
+    want_mark = live.Watermark();
+    EXPECT_EQ(want_mark.last_closed_day, kToday - 1);
+    EXPECT_EQ(want_mark.watermark_t, today_sample.t);
+    live.Stop();  // no CloseWalClean: a crash
+  }
+  CongestionService recovered(config);
+  const WalRecoverStats stats = recovered.RecoverFromWal();
+  ASSERT_TRUE(stats.ok) << stats.error;
+  EXPECT_EQ(stats.closes, 1u);
+  EXPECT_EQ(recovered.Stats().samples_late, 1u);
+  EXPECT_EQ(recovered.Stats().samples, 1u);
+  EXPECT_EQ(recovered.Watermark(), want_mark);
   recovered.Stop();
 }
 
